@@ -78,7 +78,8 @@ inline std::uint32_t env_mn_workers() {
   return env_unsigned("HAL_MN_WORKERS", 0);
 }
 
-/// Wire-batching knobs for every bench binary (docs/perf.md):
+/// Wire-batching knobs from the environment (docs/perf.md); only
+/// caf_storms reads them, for its batching-on runs:
 ///   HAL_BATCH=0|1            master switch (default: the config's default)
 ///   HAL_BATCH_FRAME_BYTES=N  frame payload cap
 ///   HAL_BATCH_MAX_MSGS=N     fill-flush record threshold
@@ -109,12 +110,40 @@ inline double ms(SimTime ns) { return static_cast<double>(ns) / 1e6; }
 inline double us(SimTime ns) { return static_cast<double>(ns) / 1e3; }
 inline double secs(SimTime ns) { return static_cast<double>(ns) / 1e9; }
 
-inline void header(const char* title, const char* paper_ref) {
+/// The executor and worker count a run is configured with, in words.
+inline std::string describe_machine(MachineKind kind,
+                                    std::uint32_t mn_workers) {
+  switch (kind) {
+    case MachineKind::kSim:
+      return "sim (virtual-time simulator calibrated to a CM-5 node; "
+             "1 worker)";
+    case MachineKind::kThread:
+      return "thread (MnMachine, wall clock; one worker per node)";
+    case MachineKind::kMn:
+      return mn_workers == 0
+                 ? "mn (MnMachine, wall clock; min(cores, nodes) workers)"
+                 : "mn (MnMachine, wall clock; " +
+                       std::to_string(mn_workers) +
+                       " workers, capped at the node count)";
+  }
+  return "unknown";
+}
+
+inline void header(const char* title, const char* paper_ref,
+                   const std::string& machine) {
   std::printf("==============================================================\n");
   std::printf("%s\n", title);
   std::printf("reproduces: %s\n", paper_ref);
-  std::printf("machine: virtual-time simulator calibrated to a CM-5 node\n");
+  std::printf("machine: %s\n", machine.c_str());
   std::printf("==============================================================\n");
+}
+
+/// Banner for a bench whose runs use `fallback` unless HAL_MACHINE and
+/// HAL_MN_WORKERS select another executor (env_machine, env_mn_workers).
+inline void header(const char* title, const char* paper_ref,
+                   MachineKind fallback = MachineKind::kSim) {
+  header(title, paper_ref,
+         describe_machine(env_machine(fallback), env_mn_workers()));
 }
 
 /// Write a run's structured report to `path` (deterministic JSON).

@@ -1,8 +1,8 @@
 // CAF-style mailbox storms: the wire-batching payoff measurement.
 //
 // Three storms borrowed from the actor-framework benchmark family, run on
-// ThreadMachine (real threads, real wall clock) with destination-coalesced
-// wire batching toggled per run:
+// the thread kind (MnMachine at one worker per node: real threads, real wall
+// clock) with destination-coalesced wire batching toggled per run:
 //
 //   mailbox    — one remote sender floods one receiver (1:1). The classic
 //                mailbox_performance shape: per-message enqueue + wake
@@ -239,9 +239,10 @@ StormOut best_of(Fn&& fn) {
 
 int main() {
   hal::bench::header(
-      "CAF-style mailbox storms (ThreadMachine, batching off vs on)",
+      "CAF-style mailbox storms (thread kind, batching off vs on)",
       "destination-coalesced wire batching: per-message overhead amortized "
-      "per frame");
+      "per frame",
+      hal::bench::describe_machine(MachineKind::kThread, 0));
 
   const bool paper = hal::bench::paper_scale();
   const std::uint64_t flood_n = paper ? 2'000'000 : 200'000;

@@ -2,8 +2,7 @@
 // for).
 //
 // Two workloads at HAL_MN_NODES nodes (default 4096 — thousands of nodes on
-// a handful of workers, far past ThreadMachine's one-thread-per-node
-// ceiling):
+// a handful of workers, far past what one thread per node can hold):
 //   * fib        — fork/join traffic spread by receiver-initiated random
 //                  polling, so runnable nodes churn through the run queues
 //                  and the work-stealing path carries real load
@@ -136,7 +135,8 @@ void print_row(const char* workload, std::uint32_t workers,
 int main() {
   using namespace hal::bench;
   header("MnMachine scaling: M nodes on N workers",
-         "ROADMAP item 1 — the paper's P-node protocols at P >> cores");
+         "ROADMAP item 1 — the paper's P-node protocols at P >> cores",
+         "mn (MnMachine, wall clock; 1, 2, 4 and 8 workers, one row each)");
 
   const NodeId nodes =
       static_cast<NodeId>(env_unsigned("HAL_MN_NODES", 4096));
@@ -171,7 +171,7 @@ int main() {
       "letters) — the pool size changes the schedule, never the result.\n"
       "N=1 is the degenerate point of receiver-initiated polling: the idle\n"
       "nodes' poll quanta serialize onto the one worker that also runs the\n"
-      "real work (on ThreadMachine those polls ran on 4095 other threads),\n"
+      "real work (at one worker per node they run on 4095 other workers),\n"
       "so the N=1 fib row measures the balancer storm, not fib.\n");
   report_json(widest, "mn_scaling");
   return 0;

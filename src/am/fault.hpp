@@ -7,7 +7,7 @@
 // whether each packet is dropped, duplicated, or delayed (delay on a FIFO
 // wire is what produces reordering). Under `SimMachine` the draws consume
 // the event-loop's deterministic schedule, so a given seed reproduces the
-// same fault pattern byte-for-byte; under `ThreadMachine` the same knobs
+// same fault pattern byte-for-byte; under `MnMachine` the same knobs
 // give a statistical soak (delay is scrubbed there — real queues already
 // reorder across nodes, and a wall-clock sleep would only slow the soak).
 //

@@ -1,18 +1,17 @@
 // Abstract multicomputer: P nodes exchanging active-message packets.
 //
-// Three implementations share this interface (DESIGN.md §1, docs/machines.md):
-//   * SimMachine    — deterministic discrete-event executor with per-node
-//                     virtual clocks and the CostModel; regenerates the
-//                     paper's CM-5 scaling and primitive-cost tables on a
-//                     single host core.
-//   * ThreadMachine — one OS thread per node, real MPSC endpoint queues,
-//                     wall-clock time; demonstrates the runtime is genuinely
-//                     concurrent.
-//   * MnMachine     — M nodes multiplexed onto N worker threads with
-//                     work-stealing run queues; reaches node counts (1024+)
-//                     far past hardware parallelism.
-// All kernel/protocol code above this interface is identical under all
-// three; construction is centralized in make_machine (machine_factory.hpp).
+// Two implementations share this interface (DESIGN.md §1, docs/machines.md):
+//   * SimMachine — deterministic discrete-event executor with per-node
+//                  virtual clocks and the CostModel; regenerates the paper's
+//                  CM-5 scaling and primitive-cost tables on a single host
+//                  core.
+//   * MnMachine  — M nodes multiplexed onto N worker threads with
+//                  work-stealing run queues, real MPSC endpoint queues and
+//                  wall-clock time; reaches node counts (1024+) far past
+//                  hardware parallelism. MachineKind::kThread is this class
+//                  at one worker per node.
+// All kernel/protocol code above this interface is identical under both;
+// construction is centralized in make_machine (machine_factory.hpp).
 #pragma once
 
 #include <atomic>
@@ -114,7 +113,7 @@ class Machine {
   /// the three-phase BulkChannel protocol.
   virtual void send(Packet p) = 0;
 
-  /// Advance the node's virtual clock (SimMachine) / no-op (ThreadMachine).
+  /// Advance the node's virtual clock (SimMachine) / no-op (MnMachine).
   virtual void charge(NodeId node, SimTime ns) = 0;
 
   /// Convenience: charge a floating-point workload on the cost model.
@@ -129,7 +128,7 @@ class Machine {
   }
 
   /// Current time on a node: virtual ns (SimMachine) or wall ns since
-  /// machine construction (ThreadMachine).
+  /// machine construction (MnMachine).
   virtual SimTime now(NodeId node) const = 0;
 
   /// Execute until quiescence (no packets in flight, no local work, no work
@@ -137,7 +136,7 @@ class Machine {
   virtual void run() = 0;
 
   /// Host-parallelism this machine runs on: 1 for the sequential simulator,
-  /// one per node for ThreadMachine, the worker-pool size for MnMachine.
+  /// the worker-pool size for MnMachine (one per node for the thread kind).
   /// Reported as RunReport::workers (the scaling-curve dimension).
   virtual std::uint32_t worker_count() const noexcept { return 1; }
 
@@ -246,7 +245,7 @@ class Machine {
 
   /// Executor hook: the global run state changed in a way sleeping node
   /// loops must observe (stop requested, work hint went positive).
-  /// ThreadMachine overrides it to wake every blocked node; SimMachine is
+  /// MnMachine overrides it to wake every parked worker; SimMachine is
   /// single-threaded and needs nothing. Must be safe from any thread.
   virtual void wake_hook() noexcept {}
 

@@ -2,7 +2,6 @@
 
 #include "am/mn_machine.hpp"
 #include "am/sim_machine.hpp"
-#include "am/thread_machine.hpp"
 
 namespace hal::am {
 
@@ -16,7 +15,10 @@ std::unique_ptr<Machine> make_machine(const RuntimeConfig& config) {
       return sim;
     }
     case MachineKind::kThread:
-      return std::make_unique<ThreadMachine>(config.nodes, config.costs);
+      // The paper's one execution stream per node: the M:N pool at one
+      // worker per node (no separate executor, no extra knob).
+      return std::make_unique<MnMachine>(config.nodes, config.costs,
+                                         /*workers=*/config.nodes);
     case MachineKind::kMn:
       return std::make_unique<MnMachine>(config.nodes, config.costs,
                                          config.mn_workers);

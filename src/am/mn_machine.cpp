@@ -147,10 +147,36 @@ void MnMachine::enqueue(NodeSlot& s) {
 }
 
 void MnMachine::wake_worker(WorkerRec& rec) noexcept {
-  // Same seq_cst RMW handshake as ThreadMachine::raw_push (proof there and
-  // at am/park_handshake.hpp): the push above this call is visible to the
-  // wait predicate, and a notify under the mutex cannot land between
-  // predicate check and park.
+  // Wakeup handshake (am/park_handshake.hpp). Every access to `sleeping`
+  // (here and in park()) is a seq_cst read-modify-write, so they form a
+  // single modification-order chain in which each RMW reads the write
+  // immediately before it and every link synchronizes-with the next. The
+  // worker re-arms `sleeping` (an RMW writing true) before EVERY
+  // wait-predicate evaluation; take any such arm C and this producer's RMW
+  // S (after its push into rec.inject):
+  //   - S precedes C: the RMW chain from S to C carries happens-before, so
+  //     the predicate (sequenced after C) sees the push — no park.
+  //   - C precedes S: the first producer RMW after C reads true and
+  //     notifies while holding the worker's mutex, so the notify cannot
+  //     land between the predicate check and the park; the roused worker
+  //     re-arms before it re-checks, restarting the argument, and later
+  //     producers that read false are covered by that pending notify.
+  // Either way the wakeup cannot be lost. Awake workers keep this path
+  // lock-free (one uncontended RMW). RMWs instead of a seq_cst fence keep
+  // the protocol visible to ThreadSanitizer, which does not model
+  // atomic_thread_fence.
+  //
+  // The re-arm-per-evaluation is load-bearing, not belt-and-braces: the
+  // inject queue is a Vyukov MPSC queue, so a COMPLETED push can be
+  // transiently invisible behind another producer's half-finished one
+  // (mpsc_queue.hpp, empty()). With a single pre-park arm, a worker woken
+  // by producer A could read "empty" over producer B's gap and re-wait with
+  // `sleeping` false (A's exchange cleared it) — then B, closing the gap
+  // after A, reads false, skips the notify, and the worker sleeps forever
+  // over B's token. Arming afresh guarantees the gap-closing producer either
+  // reads true and notifies, or its RMW precedes the arm, in which case its
+  // next-pointer store (sequenced before its RMW) is visible to the
+  // predicate.
   if (rec.sleeping.claim_wake()) {
     std::lock_guard lock(rec.mutex);
     rec.cv.notify_one();
@@ -177,8 +203,8 @@ void MnMachine::maybe_wake_thief() noexcept {
 
 void MnMachine::wake_hook() noexcept {
   // The global run state changed (stop, or the work hint went positive).
-  // Bump the wake epoch so idle nodes re-run on_idle (the balancer re-poll
-  // ThreadMachine gets by waking every node thread), then wake every worker.
+  // Bump the wake epoch so idle nodes re-run on_idle (the balancer
+  // re-polls), then wake every worker.
   wake_epoch_.fetch_add(1, std::memory_order_seq_cst);
   for (auto& rec : workers_) {
     {
@@ -267,11 +293,17 @@ void MnMachine::run_node(NodeSlot& s) {
       }
     }
     if (links_active()) {
-      // Fire this node's retransmission timer if due (on its own stream,
-      // like ThreadMachine's timed park), then publish the next deadline so
-      // idle workers know how long the machine still owes wire work.
+      // Fire this node's retransmission timer if due (on its own stream, so
+      // endpoint state stays single-writer), then publish the next deadline
+      // so idle workers know how long the machine still owes wire work.
+      // Only with the mailbox drained: acks still queued behind the drain
+      // quantum may retire the very masters that look overdue, and
+      // resending them anyway draws a fresh ack each — a node with many
+      // masters then takes in acks faster than it drains them, and the
+      // storm outlasts max_retries. A non-empty mailbox requeues the node
+      // (`more`), so the timer fires on the first quantum that catches up.
       const SimTime due = exec_.link_deadline(n);
-      if (due != 0 && due <= now(n)) {
+      if (due != 0 && due <= now(n) && exec_.mailbox_empty(n)) {
         exec_.fire_link_timer(n, now(n), *this);
       }
       update_link_timer(n);
@@ -415,8 +447,7 @@ void MnMachine::worker_loop(std::uint32_t w) {
       // Unacked retransmit masters somewhere: the machine still owes wire
       // work, so this worker must NOT join the idle set — staying active
       // keeps the detector's double scan returning kBusy, which is what
-      // makes loss unable to fake quiescence (ThreadMachine's unacked-
-      // master rule, lifted to the worker pool). Park with the earliest
+      // makes loss unable to fake quiescence. Park with the earliest
       // deadline; on timeout, reschedule the due nodes so their quanta fire
       // the retransmission timers on their own streams.
       sleepers_.fetch_add(1, std::memory_order_relaxed);
@@ -458,13 +489,15 @@ void MnMachine::worker_loop(std::uint32_t w) {
 void MnMachine::park(WorkerRec& rec, std::uint64_t gen, SimTime deadline) {
   std::unique_lock lock(rec.mutex);
   for (;;) {
-    // Re-arm before EVERY predicate evaluation: the inject queue is the same
-    // Vyukov MPSC as ThreadMachine's mailboxes, so a completed push can be
-    // unreachable behind another producer's half-finished one and a single
-    // post-wakeup check could read "empty" with `sleeping` already cleared —
-    // the gap-closing producer would then skip its notify and this worker
-    // would sleep over a live run token. See ThreadMachine::park for the
-    // full happens-before argument.
+    // Re-arm before EVERY predicate evaluation — not once before the first
+    // wait. A completed push can be unreachable behind another producer's
+    // half-finished one (mpsc_queue.hpp, empty()), so a single check after a
+    // wakeup could read "empty" with `sleeping` already cleared; the
+    // producer that closes the gap would then skip its notify and this
+    // worker would sleep over a live run token. With the arm here, every
+    // producer RMW after it reads true and notifies under our mutex, and
+    // every producer RMW before it synchronizes-with the arm, making its
+    // push visible to the check below. Full proof at wake_worker.
     rec.sleeping.arm();
     if (!rec.inject.empty() || stop_requested() || rec.wake_gen != gen) break;
     if (deadline != 0) {

@@ -5,10 +5,10 @@
 // mailbox, run NodeClient::step quanta, count termination-detector epochs,
 // and fire link retransmission timers. SimMachine keeps its own event queue
 // and virtual clocks but shares the demux and timer entry points;
-// ThreadMachine and MnMachine additionally run their per-node MPSC mailboxes
-// and epoch accounting through here — which is what makes MnMachine an
-// executor *policy* (which worker runs which node when) rather than a third
-// copy of the event-loop logic.
+// MnMachine additionally runs its per-node MPSC mailboxes and epoch
+// accounting through here — which is what makes MnMachine an executor
+// *policy* (which worker runs which node when) rather than a second copy of
+// the event-loop logic.
 //
 // Threading contract: post() may be called from any thread (it is the
 // cross-thread handoff point); dispatch()/drain()/step_quantum()/
@@ -32,8 +32,8 @@ namespace hal::am {
 
 class NodeExecutor {
  public:
-  /// `participants` sizes the termination detector (ThreadMachine: one per
-  /// node; MnMachine: one per worker; SimMachine passes 0 — its event queue
+  /// `participants` sizes the termination detector (MnMachine: one per
+  /// worker; SimMachine passes 0 — its event queue
   /// is its own quiescence proof). `mailboxes` allocates the per-node MPSC
   /// packet queues; machines that keep packets elsewhere (SimMachine's
   /// event queue) skip them.

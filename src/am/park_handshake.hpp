@@ -1,13 +1,13 @@
 // Park/wake handshake: the seq_cst RMW flag protocol between a parking
 // consumer and its producers.
 //
-// Extracted from ThreadMachine/MnMachine (PR 8's lost-wakeup fix) into a
-// checkable unit: the executors instantiate it with `StdAtomics` (their
-// behavior is unchanged — same flag, same exchanges, same orders) and
+// Extracted from the executors (the lost-wakeup fix) into a checkable
+// unit: MnMachine instantiates it with `StdAtomics` (same flag, same
+// exchanges, same orders as the inline code it replaced) and
 // hal-mc instantiates it with model atomics to exhaustively explore the
 // producer/consumer interleavings (docs/model-checking.md).
 //
-// Protocol (full happens-before argument at ThreadMachine::raw_push):
+// Protocol (full happens-before argument at MnMachine::wake_worker):
 //
 //   consumer                         producer (after its queue push)
 //   --------                         -------------------------------

@@ -17,21 +17,34 @@
 //                                     +----------------- kRunningNotified
 //                                      retire_or_requeue() sees the flag
 //
-// Every transition is a seq_cst RMW (or a store sequenced inside the
-// token-holder's quantum), so successive owners of the token are linked by
-// a happens-before chain through the cell: the plain per-node fields (the
-// kernel, probes, buffer pool, link endpoint — everything single-writer)
-// are handed over race-free. The two safety properties hal-mc checks:
+// Every transition is a seq_cst RMW, so successive owners of the token are
+// linked by a happens-before chain through the cell: the plain per-node
+// fields (the kernel, probes, buffer pool, link endpoint — everything
+// single-writer) are handed over race-free. The two safety properties
+// hal-mc checks:
 //
 //   * exactly-one-runner: between a begin_quantum() and its matching
 //     retire/requeue, no other thread's begin_quantum() can run (publish()
 //     can only reach kQueued/kRunningNotified, never a second kRunning).
 //   * no lost unit: a publish() that runs after a unit of work became
-//     visible either wins Idle→Queued (a fresh token exists), observes a
+//     visible either wins Idle→Queued (a fresh token exists), joins a
 //     pending token (kQueued/kRunningNotified — its quantum will look), or
 //     flags the in-progress quantum (kRunning→kRunningNotified — the
 //     runner's retire CAS fails and requeues). No interleaving strands the
 //     unit in an unscheduled mailbox.
+//
+// "Its quantum will look" needs the deposit to happen-before that quantum's
+// mailbox read, and the mailbox read is a plain acquire load (the MPSC
+// queue's next pointer), not an RMW. So publish() must write the cell even
+// when a token is already pending — a same-value CAS — and the runner's
+// Queued transitions are exchanges, not stores: every transition is then
+// an RMW, each one continues the release sequence of the one before, and
+// begin_quantum() synchronizes with every publish() it must cover. A
+// publish() that only loaded kQueued gave no such edge: the sender's
+// deposit could still sit in its store buffer while the runner's
+// begin_quantum and drain ran, found the mailbox empty, and retired the
+// node Idle over the unit (hal-mc scenario run_token_load_drain; the
+// pre-fix shape is its expect-violation twin run_token_load_publish).
 #pragma once
 
 #include <atomic>
@@ -85,7 +98,13 @@ class RunTokenCell {
           break;
         case State::kQueued:
         case State::kRunningNotified:
-          return false;  // token already pending; its quantum sees our unit
+          // A token is already pending; join the RMW chain so the quantum
+          // that covers our unit synchronizes with our deposit (header).
+          if (state_.compare_exchange_weak(cur, cur,
+                                           std::memory_order_seq_cst)) {
+            return false;
+          }
+          break;
       }
     }
   }
@@ -100,7 +119,7 @@ class RunTokenCell {
   /// End of quantum with work remaining: the runner keeps the token and
   /// re-publishes it itself (round-robin fairness among runnable nodes).
   void requeue() noexcept {
-    state_.store(State::kQueued, std::memory_order_seq_cst);
+    state_.exchange(State::kQueued, std::memory_order_seq_cst);
   }
 
   /// End of quantum with no work observed. Returns false when the node went
@@ -116,7 +135,7 @@ class RunTokenCell {
       return false;
     }
     HAL_DASSERT(expected == State::kRunningNotified);
-    state_.store(State::kQueued, std::memory_order_seq_cst);
+    state_.exchange(State::kQueued, std::memory_order_seq_cst);
     return true;
   }
 

@@ -1,6 +1,6 @@
 // Cheap nanosecond clock for the wall-clock machines.
 //
-// ThreadMachine and MnMachine stamp every packet and bracket every method
+// MnMachine stamps every packet and brackets every method
 // execution with a clock read; through the vDSO, steady_clock::now() costs
 // ~25-30 ns — a third of the whole per-message delivery path once batching
 // has amortized the queue and wake costs. On x86-64 with an invariant TSC

@@ -1,9 +1,9 @@
 // Event-driven termination (quiescence) detection for multithreaded
 // executors.
 //
-// The ThreadMachine needs to answer "is the whole machine done?" without a
+// MnMachine needs to answer "is the whole machine done?" without a
 // central coordinator and without polling. A machine is quiescent when
-//   (a) every participant (node loop) is idle,
+//   (a) every participant (worker loop) is idle,
 //   (b) every unit of work that was ever published has been consumed, and
 //   (c) no external work tokens are outstanding (see Machine work tokens).
 // The detector tracks (a) with a sharded active counter and (b) with a pair
@@ -163,7 +163,7 @@ class BasicTerminationDetector {
   }
 
  private:
-  // Idle transitions from different nodes land on different cache lines;
+  // Idle transitions from different participants land on different lines;
   // 16 shards keep the scan trivially cheap while giving 16-way spread.
   static constexpr std::uint32_t kShards = 16;
   static constexpr std::uint32_t kShardMask = kShards - 1;

@@ -16,7 +16,7 @@ namespace hal {
 
 enum class MachineKind : std::uint8_t {
   kSim,     ///< deterministic virtual-time simulator (default)
-  kThread,  ///< one OS thread per node
+  kThread,  ///< MnMachine with one worker thread per node
   kMn,      ///< M nodes multiplexed onto N worker threads (work-stealing)
 };
 
@@ -106,9 +106,9 @@ struct RuntimeConfig {
   /// SimMachine safety valve (0 = unlimited events).
   std::uint64_t sim_event_limit = 0;
 
-  /// MnMachine worker-pool size; 0 picks min(hardware threads, nodes). The
+  /// kMn worker-pool size; 0 picks min(hardware threads, nodes). The
   /// machine caps any value at the node count — more workers than nodes
-  /// cannot be scheduled.
+  /// cannot be scheduled. kThread ignores it (always one per node).
   std::uint32_t mn_workers = 0;
 
   /// Record protocol-level events for Chrome-trace export

@@ -29,7 +29,7 @@ class FrontEnd {
     std::string text;
   };
 
-  /// Called on node 0's execution stream (ThreadMachine: node 0's thread;
+  /// Called on node 0's execution stream (MnMachine: node 0's current worker;
   /// bootstrap: the main thread) — serialized defensively anyway. Takes a
   /// view over the packet payload; the owning string is built in place here,
   /// not by the caller.

@@ -108,8 +108,8 @@ class Runtime {
   /// The one results entry point: machine kind, node count, makespan,
   /// per-node + aggregate counters, and per-probe latency histograms, with
   /// deterministic JSON serialization (obs::RunReport::to_json). Makespan is
-  /// virtual ns under SimMachine and measured wall ns of run() under
-  /// ThreadMachine.
+  /// virtual ns under SimMachine and measured wall ns of run() on the
+  /// wall-clock kinds (thread, mn).
   obs::RunReport report();
 
   /// Count and retire everything still buffered inside the kernels
@@ -118,18 +118,6 @@ class Runtime {
   /// the destructor calls it too — so a test can invoke it early to assert
   /// on the counts. After a clean run to quiescence both counts are zero.
   DrainStats shutdown_drain();
-
-  /// \deprecated Use report().makespan_ns.
-  [[deprecated("use Runtime::report().makespan_ns")]] SimTime makespan()
-      const {
-    return makespan_impl();
-  }
-
-  /// \deprecated Use report().total (or report().per_node for one node).
-  [[deprecated("use Runtime::report().total")]] StatBlock total_stats()
-      const {
-    return total_stats_impl();
-  }
 
   std::uint64_t dead_letters() const;
 
@@ -182,9 +170,6 @@ class Runtime {
   }
 
  private:
-  SimTime makespan_impl() const;
-  StatBlock total_stats_impl() const;
-
   RuntimeConfig config_;
   BehaviorRegistry registry_;
   /// hal::check: process-wide payload-buffer ledger (empty shell when the

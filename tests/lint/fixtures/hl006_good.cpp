@@ -1,6 +1,6 @@
 // Fixture: HL006 hal-park-loop-protocol (known-good).
 //
-// The full ThreadMachine-style handshake: the park flag is re-armed with a
+// The full MnMachine-style handshake: the park flag is re-armed with a
 // seq_cst exchange at the top of every loop iteration — before EACH
 // predicate evaluation — and disarmed with a seq_cst exchange after the
 // loop; the sender side lowers it with the matching RMW and notifies under

@@ -4,6 +4,8 @@
 // variants and mappings.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "apps/cholesky.hpp"
 #include "apps/fib.hpp"
 #include "apps/matmul.hpp"
@@ -15,13 +17,18 @@ namespace {
 
 // --- Fibonacci ---------------------------------------------------------------------
 
+// gtest names each case after the raw bytes of its parameter struct, padding
+// included. The padding is spelled out as zeroed members so the names are the
+// same on every run instead of picking up whatever the stack held.
 struct FibCase {
   unsigned n;
   unsigned cutoff;
   NodeId nodes;
   bool lb;
   MachineKind machine;
+  std::uint8_t pad[2]{};
 };
+static_assert(sizeof(FibCase) == 16, "FibCase must have no implicit padding");
 
 class FibCorrectness : public ::testing::TestWithParam<FibCase> {};
 
@@ -78,13 +85,18 @@ TEST(FibScaling, DeterministicAcrossRuns) {
 
 // --- Cholesky -----------------------------------------------------------------------
 
+// Padding spelled out for stable case names, as in FibCase.
 struct CholCase {
   CholVariant variant;
   ColMapping mapping;
+  std::uint8_t pad0[6]{};
   std::size_t n;
   NodeId nodes;
   MachineKind machine;
+  std::uint8_t pad1[3]{};
 };
+static_assert(sizeof(CholCase) == 24 && alignof(CholCase) == 8,
+              "CholCase must have no implicit padding");
 
 class CholeskyCorrectness : public ::testing::TestWithParam<CholCase> {};
 
@@ -104,22 +116,46 @@ TEST_P(CholeskyCorrectness, MatchesSequentialFactorization) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CholeskyCorrectness,
     ::testing::Values(
-        CholCase{CholVariant::kPipelined, ColMapping::kCyclic, 48, 4,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kPipelined, ColMapping::kBlock, 48, 4,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kGlobalSeq, ColMapping::kCyclic, 48, 4,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kGlobalBcast, ColMapping::kCyclic, 48, 4,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kPipelined, ColMapping::kCyclic, 32, 1,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kPipelined, ColMapping::kCyclic, 40, 8,
-                 MachineKind::kSim},
-        CholCase{CholVariant::kPipelined, ColMapping::kCyclic, 32, 4,
-                 MachineKind::kThread},
-        CholCase{CholVariant::kGlobalBcast, ColMapping::kBlock, 32, 4,
-                 MachineKind::kThread}));
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 48,
+                 .nodes = 4,
+                 .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kBlock,
+                 .n = 48,
+                 .nodes = 4,
+                 .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kGlobalSeq,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 48,
+                 .nodes = 4,
+                 .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kGlobalBcast,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 48,
+                 .nodes = 4,
+                 .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 32,
+                 .nodes = 1,
+                 .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 40,
+                 .nodes = 8,
+                 .machine = MachineKind::kSim},
+        CholCase{.variant = CholVariant::kPipelined,
+                 .mapping = ColMapping::kCyclic,
+                 .n = 32,
+                 .nodes = 4,
+                 .machine = MachineKind::kThread},
+        CholCase{.variant = CholVariant::kGlobalBcast,
+                 .mapping = ColMapping::kBlock,
+                 .n = 32,
+                 .nodes = 4,
+                 .machine = MachineKind::kThread}));
 
 TEST(CholeskyShape, LocalSyncBeatsGlobalSync) {
   // The Table 1 headline: pipelined local synchronization outperforms the

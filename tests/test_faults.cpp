@@ -3,8 +3,9 @@
 // effectively-once, in-order delivery to every layer above — including the
 // termination detector, the bulk-transfer credit window, and the FIR chase.
 //
-// Suite names all contain "Fault" so the ThreadMachine soaks here ride the
-// HAL_SANITIZE=thread CI job's -R 'Stress|ThreadMachine|Bulk|Fault' filter.
+// Suite names all contain "Fault" so the thread-kind and MnMachine soaks
+// here ride the HAL_SANITIZE=thread CI job's
+// -R 'Stress|ThreadMachine|MnMachine|Bulk|Fault' filter.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 #include "am/link.hpp"
 #include "am/mn_machine.hpp"
 #include "am/sim_machine.hpp"
-#include "am/thread_machine.hpp"
 #include "apps/fib.hpp"
 #include "runtime/api.hpp"
 
@@ -37,14 +37,17 @@ class LinkTestClient : public am::NodeClient {
   bool has_work() const override { return false; }
 };
 
+// `extra` follows the cost model into M's constructor (MnMachine: workers).
 template <typename M>
 struct LinkHarness {
   M machine;
   std::vector<LinkTestClient> clients;
 
+  template <typename... Extra>
   explicit LinkHarness(NodeId nodes,
-                       am::CostModel costs = am::CostModel::cm5())
-      : machine(nodes, costs), clients(nodes) {
+                       am::CostModel costs = am::CostModel::cm5(),
+                       Extra... extra)
+      : machine(nodes, costs, extra...), clients(nodes) {
     for (NodeId n = 0; n < nodes; ++n) machine.attach(n, &clients[n]);
   }
 };
@@ -339,8 +342,9 @@ TEST(FaultLink, SimSameSeedSameFaultPattern) {
   EXPECT_EQ(run_once(), run_once());
 }
 
+// The thread kind: MnMachine at one worker per node (make_machine).
 TEST(FaultLink, ThreadLossAndDuplicationExactlyOnce) {
-  LinkHarness<am::ThreadMachine> h(2);
+  LinkHarness<am::MnMachine> h(2, am::CostModel::cm5(), /*workers=*/2u);
   am::FaultConfig fc;
   fc.enabled = true;
   fc.drop = 0.1;
@@ -358,7 +362,7 @@ TEST(FaultLink, ThreadLossAndDuplicationExactlyOnce) {
 
 // Same soak on the M:N pool, with many more endpoints than workers: link
 // endpoints migrate across workers with their nodes, and the shared timer
-// table (not a per-node thread) keeps retransmission alive.
+// table keeps retransmission alive for nodes no worker is running.
 TEST(FaultLink, MnLossAndDuplicationExactlyOnceAtLargeP) {
   LinkHarness<am::MnMachine> h(64);
   am::FaultConfig fc;
@@ -542,7 +546,7 @@ class FaultRuntimeTest : public ::testing::TestWithParam<MachineKind> {
     c.nodes = nodes;
     c.machine = GetParam();
     c.faults = faults;
-    // Keep ThreadMachine recovery latency test-friendly (default is 2 ms).
+    // Keep wall-clock recovery latency test-friendly (default is 2 ms).
     if (c.faults.rto_ns == 0) c.faults.rto_ns = 500'000;
     return c;
   }
@@ -684,7 +688,7 @@ TEST(FaultReport, SimFibMatrixIsByteDeterministic) {
   }
 }
 
-// --- ThreadMachine loss soak (TSan CI target) ---------------------------------
+// --- Thread-kind loss soak (TSan CI target) -----------------------------------
 
 TEST(FaultSoak, ThreadRuntimeLossSoak) {
   am::FaultConfig fc;

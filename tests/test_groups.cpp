@@ -16,6 +16,7 @@ class Member : public ActorBase {
     gid_ = gid;
     index_ = index;
     total_ = total;
+    initialized_ = true;
   }
   void on_bump(Context&, std::int64_t by) { value_ += by; }
   void on_tell_index(Context& ctx) { ctx.reply(static_cast<std::int64_t>(index_)); }
@@ -30,6 +31,17 @@ class Member : public ActorBase {
   HAL_BEHAVIOR(Member, &Member::on_init, &Member::on_bump,
                &Member::on_tell_index, &Member::on_ring)
 
+  /// Local synchronization constraint (§6.1): delivery is only FIFO per
+  /// sender/receiver channel, so a ring step forwarded by a neighbour can
+  /// overtake the creator's on_init on a concurrent machine; methods that
+  /// read the init state park in the pending queue until it has run.
+  bool method_enabled(Selector s) const override {
+    if (s == sel<&Member::on_ring>() || s == sel<&Member::on_tell_index>()) {
+      return initialized_;
+    }
+    return true;
+  }
+
   std::int64_t value() const { return value_; }
   std::int64_t ring_hits() const { return ring_hits_; }
   std::uint32_t index() const { return index_; }
@@ -40,6 +52,7 @@ class Member : public ActorBase {
   std::uint32_t total_ = 0;
   std::int64_t value_ = 0;
   std::int64_t ring_hits_ = 0;
+  bool initialized_ = false;
 };
 
 /// Creates the group and drives it.

@@ -12,9 +12,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "am/machine_factory.hpp"
 #include "am/mn_machine.hpp"
 #include "apps/fib.hpp"
 #include "common/termination.hpp"
@@ -211,6 +213,23 @@ TEST(MnMachineRuntime, WorkerCountIsCappedAtNodeCount) {
   Runtime rt(cfg);
   rt.run();
   EXPECT_EQ(rt.report().workers, 2u);
+}
+
+// MachineKind::kThread is this class at one worker per node; the report
+// keeps the "thread" spelling so scripts and stored reports stay valid.
+TEST(MnMachineRuntime, ThreadKindIsOneWorkerPerNode) {
+  RuntimeConfig cfg;
+  cfg.nodes = 6;
+  cfg.machine = MachineKind::kThread;
+  cfg.mn_workers = 2;  // a kMn knob: the thread kind ignores it
+  const std::unique_ptr<am::Machine> m = am::make_machine(cfg);
+  ASSERT_NE(dynamic_cast<am::MnMachine*>(m.get()), nullptr);
+  EXPECT_EQ(m->worker_count(), 6u);
+  Runtime rt(cfg);
+  rt.run();
+  const obs::RunReport r = rt.report();
+  EXPECT_EQ(r.machine, "thread");
+  EXPECT_EQ(r.workers, 6u);
 }
 
 // --- Large-P assumptions audit (satellite 4) ----------------------------------

@@ -2,7 +2,7 @@
 // report true while a COMPLETED push is already in the queue, whenever
 // that push is chained behind another producer's half-finished one. This
 // is not a bug — it is the documented weakness the park handshake is
-// built around: ThreadMachine::raw_push (and hal-lint HL006) require the
+// built around: MnMachine::wake_worker (and hal-lint HL006) require the
 // consumer to re-arm its `sleeping` flag with a seq_cst exchange before
 // EVERY empty() re-check, so the producer that eventually closes the gap
 // observes the armed flag and notifies. If this test ever starts failing

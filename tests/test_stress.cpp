@@ -1,11 +1,13 @@
-// Concurrency stress tests for the ThreadMachine substrate.
+// Concurrency stress tests for the thread kind: MnMachine at one worker per
+// node, as make_machine builds it for MachineKind::kThread.
 //
 // These are the tests the sanitizer CI presets (HAL_SANITIZE=thread|address)
-// exist for: they hammer the only cross-thread structures in the system —
-// MpscQueue endpoints, the TerminationDetector, and the wakeup handshake in
-// ThreadMachine::send — under true preemption, then assert exact delivery
-// counts and clean quiescence. Every scenario is sized to finish in a couple
-// of seconds even single-core and under ThreadSanitizer.
+// exist for: they hammer the cross-thread structures in the system —
+// MpscQueue endpoints, the TerminationDetector, run tokens, and the wakeup
+// handshake in MnMachine::wake_worker — under true preemption, then assert
+// exact delivery counts and clean quiescence. Every scenario is sized to
+// finish in a couple of seconds even single-core and under ThreadSanitizer.
+// The suites keep their ThreadMachine names so the soak filter selects them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,8 +17,8 @@
 #include <vector>
 
 #include "am/bulk.hpp"
+#include "am/mn_machine.hpp"
 #include "am/sim_machine.hpp"
-#include "am/thread_machine.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/rng.hpp"
 #include "common/termination.hpp"
@@ -168,10 +170,10 @@ TEST(TerminationDetectorStress, NoFalseQuiescenceUnderChurn) {
   EXPECT_EQ(det.sent(), det.handled());
 }
 
-// --- ThreadMachine storms ----------------------------------------------------------------
+// --- Thread-kind storms ------------------------------------------------------------------
 
 struct StormClient : am::NodeClient {
-  am::ThreadMachine* m = nullptr;
+  am::MnMachine* m = nullptr;
   NodeId self = 0;
   std::uint64_t seed = 0;
   std::uint64_t handled = 0;
@@ -200,7 +202,7 @@ TEST(ThreadMachineStress, RandomRelayStormConservesPackets) {
   constexpr std::uint64_t kSeedsPerNode = 40;
   constexpr std::uint64_t kTtl = 24;
 
-  am::ThreadMachine m(kNodes, am::CostModel::zero());
+  am::MnMachine m(kNodes, am::CostModel::zero(), /*workers=*/kNodes);
   std::vector<StormClient> clients(kNodes);
   for (NodeId n = 0; n < kNodes; ++n) {
     clients[n].m = &m;
@@ -223,15 +225,15 @@ TEST(ThreadMachineStress, RandomRelayStormConservesPackets) {
   std::uint64_t total = 0;
   for (const auto& c : clients) total += c.handled;
   EXPECT_EQ(total, kNodes * kSeedsPerNode * (kTtl + 1));
-  EXPECT_EQ(m.packets_sent(), m.packets_handled());
+  EXPECT_EQ(m.units_sent(), m.units_handled());
   EXPECT_EQ(m.tokens(), 0u);
 }
 
-// An empty machine must quiesce immediately (event-driven: the last node to
+// An empty machine must quiesce immediately (event-driven: the last worker to
 // deactivate detects termination; nobody sleeps through it, nobody polls).
 TEST(ThreadMachineStress, EmptyMachineQuiescesImmediately) {
   for (NodeId nodes : {1u, 2u, 7u}) {
-    am::ThreadMachine m(nodes, am::CostModel::zero());
+    am::MnMachine m(nodes, am::CostModel::zero(), /*workers=*/nodes);
     std::vector<StormClient> clients(nodes);
     for (NodeId n = 0; n < nodes; ++n) {
       clients[n].m = &m;
@@ -239,7 +241,13 @@ TEST(ThreadMachineStress, EmptyMachineQuiescesImmediately) {
       m.attach(n, &clients[n]);
     }
     m.run();
-    EXPECT_EQ(m.packets_sent(), 0u);
+    // The epochs count run tokens too: only the priming pass's one token
+    // per node may appear, never a packet.
+    std::uint64_t handled = 0;
+    for (const auto& c : clients) handled += c.handled;
+    EXPECT_EQ(handled, 0u);
+    EXPECT_LE(m.units_sent(), nodes);
+    EXPECT_EQ(m.units_sent(), m.units_handled());
   }
 }
 
@@ -248,7 +256,7 @@ TEST(ThreadMachineStress, EmptyMachineQuiescesImmediately) {
 // a row catch what one long run cannot.
 TEST(ThreadMachineStress, RepeatedShortRunsAlwaysTerminate) {
   for (int round = 0; round < 50; ++round) {
-    am::ThreadMachine m(4, am::CostModel::zero());
+    am::MnMachine m(4, am::CostModel::zero(), /*workers=*/4u);
     std::vector<StormClient> clients(4);
     for (NodeId n = 0; n < 4; ++n) {
       clients[n].m = &m;
@@ -272,7 +280,7 @@ TEST(ThreadMachineStress, RepeatedShortRunsAlwaysTerminate) {
 // --- Randomized bulk transfers under preemption ---------------------------------------
 
 struct BulkStressHarness {
-  am::ThreadMachine machine;
+  am::MnMachine machine;
   struct Client : am::NodeClient {
     am::BulkChannel* channel = nullptr;
     std::map<std::uint64_t, Bytes> delivered;  // tag -> data
@@ -287,7 +295,7 @@ struct BulkStressHarness {
   std::vector<std::unique_ptr<am::BulkChannel>> channels;
 
   explicit BulkStressHarness(NodeId nodes)
-      : machine(nodes, am::CostModel::zero()),
+      : machine(nodes, am::CostModel::zero(), /*workers=*/nodes),
         clients(nodes),
         stats(nodes),
         probes(nodes),
@@ -401,7 +409,7 @@ class StressDriver : public ActorBase {
   inline static std::atomic<std::int64_t> sent_adds{0};
 };
 
-// Migration storm under ThreadMachine with the load balancer on: hop-heavy
+// Migration storm on the thread kind with the load balancer on: hop-heavy
 // traffic forces FIR chases and forwarding chains while steals relocate the
 // receivers underneath them. Exactly-once delivery must survive all of it.
 TEST(ThreadMachineStress, MigrationStormWithLoadBalancer) {
@@ -437,6 +445,68 @@ TEST(ThreadMachineStress, MigrationStormWithLoadBalancer) {
   EXPECT_EQ(rt.machine().tokens(), 0u);
   const StatBlock stats = rt.report().total;
   EXPECT_EQ(stats.get(Stat::kMigrationsIn), stats.get(Stat::kMigrationsOut));
+}
+
+// --- Sends that find the receiver's run token already queued -------------------
+
+/// One half of a cross-node ping-pong pair; counts the hops it handles.
+class StressPinger : public ActorBase {
+ public:
+  void on_init(Context&, MailAddress peer) { peer_ = peer; }
+  void on_ping(Context& ctx, std::uint64_t left) {
+    ++hops;
+    if (left > 0) ctx.send<&StressPinger::on_ping>(peer_, left - 1);
+  }
+  HAL_BEHAVIOR(StressPinger, &StressPinger::on_init, &StressPinger::on_ping)
+  std::uint64_t hops = 0;
+
+ private:
+  MailAddress peer_;
+};
+
+/// Busy self-sending load: keeps its node runnable, so the node's token is
+/// often requeued (kQueued) just as the ping from the other node arrives.
+class StressBurner : public ActorBase {
+ public:
+  void on_burn(Context& ctx, std::uint64_t left) {
+    volatile std::uint64_t acc = left;
+    for (int i = 0; i < 2000; ++i) acc = acc * 2862933555777941757ULL + 1;
+    if (left > 0) ctx.send<&StressBurner::on_burn>(ctx.self(), left - 1);
+  }
+  HAL_BEHAVIOR(StressBurner, &StressBurner::on_burn)
+};
+
+// Ping-pong under compute load on the thread kind, unbatched. A sender that
+// found the receiver's token already queued used to return after a plain
+// load, so its packet could still be invisible to the quantum that drained
+// next; the node then went idle over it and run() never returned.
+TEST(ThreadMachineStress, PingUnderComputeLoadTerminates) {
+  constexpr std::uint64_t kHops = 10000;
+  for (int round = 0; round < 40; ++round) {
+    RuntimeConfig cfg;
+    cfg.nodes = 2;
+    cfg.machine = MachineKind::kThread;
+    cfg.batching.enabled = false;
+    Runtime rt(cfg);
+    rt.load<StressPinger>();
+    rt.load<StressBurner>();
+    const MailAddress a = rt.spawn<StressPinger>(0);
+    const MailAddress b = rt.spawn<StressPinger>(1);
+    rt.inject<&StressPinger::on_init>(a, b);
+    rt.inject<&StressPinger::on_init>(b, a);
+    for (NodeId n = 0; n < 2; ++n) {
+      rt.inject<&StressBurner::on_burn>(rt.spawn<StressBurner>(n),
+                                        std::uint64_t{1000});
+    }
+    rt.inject<&StressPinger::on_ping>(a, kHops - 1);
+    rt.run();
+    const StressPinger* pa = rt.find_behavior<StressPinger>(a);
+    const StressPinger* pb = rt.find_behavior<StressPinger>(b);
+    ASSERT_NE(pa, nullptr);
+    ASSERT_NE(pb, nullptr);
+    ASSERT_EQ(pa->hops + pb->hops, kHops) << "round " << round;
+    EXPECT_EQ(rt.dead_letters(), 0u);
+  }
 }
 
 }  // namespace

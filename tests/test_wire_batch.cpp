@@ -5,16 +5,17 @@
 // loss), liveness (held frames force-flush at quiescence instead of waiting
 // out the holdoff), and config validation.
 //
-// Suite names contain "Fault" / "ThreadMachine" where the CI sanitizer jobs
-// should pick them up (-R 'Stress|ThreadMachine|Bulk|Fault').
+// Suite names contain "Fault" where the CI sanitizer jobs should pick them
+// up (-R 'Stress|ThreadMachine|MnMachine|Bulk|Fault'). "ThreadMachine" in a
+// test name means the thread kind: MnMachine at one worker per node.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "am/mn_machine.hpp"
 #include "am/sim_machine.hpp"
-#include "am/thread_machine.hpp"
 #include "am/wire_batch.hpp"
 #include "runtime/api.hpp"
 
@@ -170,7 +171,7 @@ TEST(WireBatchFault, SimCoalescedFramesExactlyOnceInOrderUnderLoss) {
 }
 
 TEST(WireBatchFault, ThreadMachineCoalescedFramesSurviveLoss) {
-  am::ThreadMachine machine(2, am::CostModel::cm5());
+  am::MnMachine machine(2, am::CostModel::cm5(), /*workers=*/2u);
   RecordingClient clients[2];
   machine.attach(0, &clients[0]);
   machine.attach(1, &clients[1]);
@@ -193,7 +194,7 @@ TEST(WireBatchFault, ThreadMachineCoalescedFramesSurviveLoss) {
 
 TEST(WireBatchFault, IdleTransitionFlushKeepsTerminationPrompt) {
   // A holdoff far beyond any reasonable run: if quiescence had to wait out
-  // the timer, Sim's makespan would blow up (and ThreadMachine below would
+  // the timer, Sim's makespan would blow up (and the thread kind below would
   // stall for wall-clock seconds). The busy->idle flush must ship the held
   // frames instead.
   RuntimeConfig cfg;

@@ -3,7 +3,7 @@
 // evaluation, not once before the first wait.
 //
 // The contract is the PR 8 lost-wakeup fix (proof at
-// ThreadMachine::raw_push): the Vyukov MPSC queue's empty() can read true
+// MnMachine::wake_worker): the Vyukov MPSC queue's empty() can read true
 // over a COMPLETED push while another producer's push is half-finished, so
 // a sleeper that re-checks "empty" after a wakeup without re-arming
 // `sleeping` races the gap-closing producer — that producer reads the flag

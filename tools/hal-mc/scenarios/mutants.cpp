@@ -74,15 +74,23 @@ const std::vector<MutantDef>& mutants() {
       {"token_begin_quantum_release",
        {"run_token.hpp", "::begin_quantum", "exchange", order::kSeqCst,
         order::kRelease},
-       "run_token_exclusive",
-       "the new runner starts its quantum without acquiring the previous "
-       "owner's retire: data race on the node's plain state"},
+       "run_token_load_drain",
+       "the quantum starts without acquiring the publish() that joined "
+       "its token: the drain misses that sender's deposit and the node "
+       "retires over the unit"},
       {"token_retire_acquire",
        {"run_token.hpp", "::retire_or_requeue", "compare_exchange_strong",
         order::kSeqCst, order::kAcquire},
        "run_token_exclusive",
        "the retiring runner's quantum writes are not released through the "
        "cell: the next owner races on the node's plain state"},
+      {"token_publish_acquire",
+       {"run_token.hpp", "::publish", "compare_exchange_weak",
+        order::kSeqCst, order::kAcquire},
+       "run_token_load_drain",
+       "a sender joining a pending token no longer releases its deposit "
+       "through the cell: the quantum drains an empty mailbox and retires "
+       "the node over the unit"},
       // --- park handshake (park_handshake.hpp) ------------------------
       {"park_claim_wake_relaxed",
        {"park_handshake.hpp", "::claim_wake", "exchange", order::kSeqCst,

@@ -103,5 +103,132 @@ const Register reg{Scenario{
     .max_steps = 20000,
 }};
 
+// --- Load-drained mailbox ---------------------------------------------------
+//
+// The real node mailbox is found by the runner with a plain acquire LOAD
+// (the MPSC queue's next pointer), not an RMW like `mask` above, so only the
+// token cell's RMW chain can order a deposit before the drain that must
+// find it. run_token_load_drain is that production shape; its twin runs
+// the publish() that shipped before the fix — a sender that finds a token
+// already pending returns after a plain load — and the checker must find
+// the stranded unit (deposit still invisible when the runner drained).
+
+/// The pre-fix cell: publish() only loads a pending kQueued /
+/// kRunningNotified, and the runner's Queued transition is a store.
+template <typename Policy>
+class LoadPublishTokenCell {
+ public:
+  using State = typename am::RunTokenCell<Policy>::State;
+
+  bool publish() noexcept {
+    State cur = state_.load(std::memory_order_seq_cst);
+    for (;;) {
+      switch (cur) {
+        case State::kIdle:
+          if (state_.compare_exchange_weak(cur, State::kQueued,
+                                           std::memory_order_seq_cst)) {
+            return true;
+          }
+          break;
+        case State::kRunning:
+          if (state_.compare_exchange_weak(cur, State::kRunningNotified,
+                                           std::memory_order_seq_cst)) {
+            return false;
+          }
+          break;
+        case State::kQueued:
+        case State::kRunningNotified:
+          return false;
+      }
+    }
+  }
+  void begin_quantum() noexcept {
+    state_.exchange(State::kRunning, std::memory_order_seq_cst);
+  }
+  bool retire_or_requeue() noexcept {
+    State expected = State::kRunning;
+    if (state_.compare_exchange_strong(expected, State::kIdle,
+                                       std::memory_order_seq_cst)) {
+      return false;
+    }
+    state_.store(State::kQueued, std::memory_order_seq_cst);
+    return true;
+  }
+  bool idle() const noexcept {
+    return state_.load(std::memory_order_seq_cst) == State::kIdle;
+  }
+
+ private:
+  typename Policy::template Atomic<State> state_{State::kIdle};
+};
+
+template <typename TokenCell>
+struct LoadDrainState {
+  TokenCell token;
+  std::array<Atomic<std::uint64_t>, 2> deposited{0, 0};  ///< release-stored
+  std::array<Cell<std::uint64_t>, 2> work;
+  std::array<Cell<std::uint64_t>, 2> consumed;  ///< runner-only plain state
+  Atomic<std::uint64_t> processed{0};
+};
+
+template <typename TokenCell>
+void run_load_drain(const std::shared_ptr<LoadDrainState<TokenCell>>& st) {
+  st->token.begin_quantum();
+  for (;;) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      if (st->consumed[i].get() == 0 &&
+          st->deposited[i].load(std::memory_order_acquire) != 0) {
+        MC_ASSERT(st->work[i].get() == 10 * (i + 1),
+                  "run_token: unit payload lost");
+        st->consumed[i].set(1);
+        st->processed.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (!st->token.retire_or_requeue()) return;
+    st->token.begin_quantum();
+  }
+}
+
+template <typename TokenCell>
+void load_drain_body(Sim& sim) {
+  auto st = std::make_shared<LoadDrainState<TokenCell>>();
+  for (std::size_t i = 0; i < 2; ++i) {
+    sim.thread([st, i] {  // sender i: deposit unit i, publish, maybe run
+      st->work[i].set(10 * (i + 1));
+      st->deposited[i].store(1, std::memory_order_release);
+      if (st->token.publish()) run_load_drain(st);
+    });
+  }
+  sim.finish([st] {
+    MC_ASSERT(st->processed.load() == 2,
+              "run_token: unit stranded behind an idle token");
+    MC_ASSERT(st->token.idle(), "run_token: token leaked (not idle)");
+  });
+}
+
+const Register reg_load_drain{Scenario{
+    .name = "run_token_load_drain",
+    .description = "run-token cell over a load-drained mailbox (the real "
+                   "MPSC consumer): a sender that joins a pending token is "
+                   "still covered by that token's quantum",
+    .body = load_drain_body<am::RunTokenCell<ModelAtomics>>,
+    .expect_violation = false,
+    .preemption_bound = 3,
+    .max_executions = 600000,
+    .max_steps = 20000,
+}};
+
+const Register reg_load_publish{Scenario{
+    .name = "run_token_load_publish",
+    .description = "regression: publish() that only loads a pending token; "
+                   "the checker must find the unit stranded behind an idle "
+                   "token",
+    .body = load_drain_body<LoadPublishTokenCell<ModelAtomics>>,
+    .expect_violation = true,
+    .preemption_bound = 3,
+    .max_executions = 600000,
+    .max_steps = 20000,
+}};
+
 }  // namespace
 }  // namespace hal::mc
