@@ -147,6 +147,14 @@ SimTime Machine::frame_deadline(NodeId src) const noexcept {
   return wire_.empty() ? 0 : wire_[src]->earliest_deadline();
 }
 
+void Machine::arrive(NodeId node, Packet p, LinkSink& sink) {
+  if (links_active() && (p.link_seq != 0 || p.link_ack)) {
+    link(node).receive(std::move(p), sink);
+  } else {
+    deliver_to_client(node, std::move(p));
+  }
+}
+
 void Machine::deliver_to_client(NodeId node, Packet p) {
   if (!p.frame) {
     client(node).handle(std::move(p));

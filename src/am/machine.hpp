@@ -188,7 +188,7 @@ class Machine {
   // Configured once, after clients are attached and before run(). Enabling
   // faults also enables the per-node LinkEndpoints (ack/retransmit/dedupe);
   // disabled, sends take the historical direct path with zero link overhead.
-  // Machine implementations override to scrub unsupported knobs (Thread
+  // Machine implementations override to scrub unsupported knobs (MnMachine
   // drops the delay probability) and pick the default RTO, then call the
   // base. Must not be called while the machine is running.
   virtual void configure_faults(const FaultConfig& cfg);
@@ -216,7 +216,6 @@ class Machine {
   // one-packet-per-message path. Machine implementations override to hook
   // their flush-timer plumbing, then call the base.
   virtual void configure_batching(const BatchConfig& cfg);
-  const BatchConfig& batch_config() const noexcept { return batch_; }
   bool batching_active() const noexcept { return !wire_.empty(); }
 
   /// Aggregation counters for one node; nullptr when batching is off.
@@ -233,11 +232,6 @@ class Machine {
   void for_each_wire_payload(const std::function<void(const Bytes&)>& fn) const;
 
  protected:
-  // The shared node-stepping core (node_executor.hpp) demuxes arrivals and
-  // fires link timers on behalf of its machine; it needs the same access to
-  // clients and link endpoints the machine itself has.
-  friend class NodeExecutor;
-
   NodeClient& client(NodeId node) const {
     HAL_ASSERT(node < node_count() && clients_[node] != nullptr);
     return *clients_[node];
@@ -261,10 +255,10 @@ class Machine {
   LinkEndpoint& link(NodeId node) noexcept { return *links_[node]; }
 
   /// Machine-appropriate retransmission timeout when FaultConfig::rto_ns
-  /// is 0 (Sim: a few virtual round trips; Thread: ~2 ms wall).
+  /// is 0 (Sim: a few virtual round trips; Mn: ~2 ms wall).
   virtual SimTime default_rto() const noexcept { return 2'000'000; }
 
-  // --- Batching internals (shared by the three machines' send paths) -------
+  // --- Batching internals (shared by both machines' send paths) ------------
   /// Can `p` ride a frame? Small non-bulk, non-loopback, non-link-control
   /// payloads whose record fits an empty frame qualify.
   bool batch_eligible(const Packet& p) const noexcept;
@@ -295,10 +289,16 @@ class Machine {
   /// overrides to charge only the amortized injection cost.
   virtual void wire_inject(Packet frame) { send(std::move(frame)); }
 
-  /// Arrival demux used by NodeExecutor: plain packets go straight to the
-  /// client, frames decode into one handler call per record (one wake, one
-  /// mailbox drain, many messages) with record payloads drawn from — and
-  /// the frame buffer retired into — the receiving node's pool.
+  /// Run one physical arrival on `node`'s execution stream: packets carrying
+  /// link state (sequence number or ack) go through the node's LinkEndpoint
+  /// (dedupe, reorder, ack — only in-order data reaches the client via
+  /// sink.link_deliver); everything else goes to deliver_to_client.
+  void arrive(NodeId node, Packet p, LinkSink& sink);
+
+  /// Hand a packet to the client: plain packets go straight through, frames
+  /// decode into one handler call per record (one wake, one mailbox drain,
+  /// many messages) with record payloads drawn from — and the frame buffer
+  /// retired into — the receiving node's pool.
   void deliver_to_client(NodeId node, Packet p);
 
  private:

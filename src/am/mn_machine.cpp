@@ -29,12 +29,13 @@ MnMachine::MnMachine(NodeId nodes, CostModel costs, std::uint32_t workers)
     : Machine(nodes, costs),
       workers_n_(clamp_workers(workers, nodes)),
       slots_(nodes),
-      exec_(*this, /*participants=*/clamp_workers(workers, nodes),
-            /*mailboxes=*/true),
+      detector_(workers_n_),
       epoch_(std::chrono::steady_clock::now()) {
+  mailboxes_.reserve(nodes);
   for (NodeId n = 0; n < nodes; ++n) {
     slots_[n].id = n;
     slots_[n].home = n % workers_n_;
+    mailboxes_.push_back(std::make_unique<MpscQueue<Packet>>());
   }
   // Each node holds at most one run token machine-wide, so a deque sized to
   // the node count can never overflow even if every token lands on one
@@ -54,8 +55,7 @@ void MnMachine::configure_faults(const FaultConfig& cfg) {
   FaultConfig scrubbed = cfg;
   scrubbed.delay = 0.0;
   Machine::configure_faults(scrubbed);
-  std::lock_guard lock(timers_mutex_);
-  timer_deadlines_.clear();
+  link_timers_.clear();
 }
 
 void MnMachine::send(Packet p) {
@@ -79,7 +79,7 @@ void MnMachine::send(Packet p) {
     // into link_transmit for every physical copy that survives the
     // injector. Runs on the source node's execution stream (its current
     // worker), so the endpoint needs no locking. The node's retransmission
-    // deadline is published at the end of its quantum (update_link_timer);
+    // deadline is published at the end of its quantum (link_timers_);
     // bootstrap masters are covered by the priming sweep in run().
     const NodeId src = p.src;
     link(src).send_data(std::move(p), now(src), *this);
@@ -101,11 +101,31 @@ void MnMachine::link_deliver(Packet p) {
 }
 
 void MnMachine::post_and_schedule(Packet p) {
-  // Mailbox push first (with its note_sent), then the run token: a consumer
-  // that acquires the token is guaranteed to see the packet.
   const NodeId dst = p.dst;
-  exec_.post(std::move(p));
+  // Epoch order matters for termination detection: the send must be counted
+  // before the packet becomes visible, so a checker that reads
+  // sent == handled knows no packet is hiding in a queue.
+  detector_.note_sent();
+  mailboxes_[dst]->push(std::move(p));
+  // Mailbox push first, then the run token: a consumer that acquires the
+  // token is guaranteed to see the packet.
   schedule(dst);
+}
+
+std::size_t MnMachine::drain(NodeId node, std::size_t max) {
+  MpscQueue<Packet>& q = *mailboxes_[node];
+  std::size_t done = 0;
+  while (done < max) {
+    auto p = q.pop();
+    if (!p.has_value()) break;
+    arrive(node, std::move(*p), *this);
+    // The handled epoch counts the *physical* packet regardless of whether
+    // the link layer suppressed it as a duplicate — symmetric with the
+    // note_sent in post_and_schedule.
+    detector_.note_handled();
+    ++done;
+  }
+  return done;
 }
 
 void MnMachine::charge(NodeId node, SimTime /*ns*/) {
@@ -130,7 +150,7 @@ void MnMachine::enqueue(NodeSlot& s) {
   // before the token becomes visible, note_handled when its quantum ends
   // (run_node). sent == handled therefore proves no token hides in any run
   // queue — the detector's double scan stays exact at P >> N.
-  exec_.detector().note_sent();
+  detector_.note_sent();
   const int self = tl_worker_;
   if (self >= 0) {
     // On-pool: keep the node where its traffic originates (locality);
@@ -256,8 +276,9 @@ void MnMachine::run_node(NodeSlot& s) {
     // over race-free.
     check::ScopedExecutionNode scope(n);
     NodeClient& c = client(n);
-    const std::size_t drained = exec_.drain(n, *this, kDrainQuantum);
-    const std::size_t stepped = exec_.step_quantum(n, kStepQuantum);
+    const std::size_t drained = drain(n, kDrainQuantum);
+    std::size_t stepped = 0;
+    while (stepped < kStepQuantum && c.step()) ++stepped;
     if (drained + stepped > 0) s.idle_notified = false;
     // Holdoff expiry rides the node's own quantum (the frame owner's
     // stream), like the link retransmission timer below; a frame never
@@ -273,7 +294,7 @@ void MnMachine::run_node(NodeSlot& s) {
       const SimTime sd = c.service_deadline();
       if (sd != 0 && sd <= now(n)) s.idle_notified = false;
     }
-    more = !exec_.mailbox_empty(n) || c.has_work();
+    more = !mailboxes_[n]->empty() || c.has_work();
     if (!more) {
       // Busy→idle: ship held frames before the node's run token is retired,
       // so a receiver never waits out a holdoff that outlived the sender's
@@ -289,7 +310,7 @@ void MnMachine::run_node(NodeSlot& s) {
         // on_idle's own sends (a steal poll, say) must not sit in a frame
         // on an idle node either.
         if (batching_active()) flush_frames(n, FlushCause::kIdle);
-        more = !exec_.mailbox_empty(n) || c.has_work();
+        more = !mailboxes_[n]->empty() || c.has_work();
       }
     }
     if (links_active()) {
@@ -302,15 +323,23 @@ void MnMachine::run_node(NodeSlot& s) {
       // masters then takes in acks faster than it drains them, and the
       // storm outlasts max_retries. A non-empty mailbox requeues the node
       // (`more`), so the timer fires on the first quantum that catches up.
-      const SimTime due = exec_.link_deadline(n);
-      if (due != 0 && due <= now(n) && exec_.mailbox_empty(n)) {
-        exec_.fire_link_timer(n, now(n), *this);
+      LinkEndpoint& ep = link(n);
+      const SimTime due = ep.next_deadline();
+      if (due != 0 && due <= now(n) && mailboxes_[n]->empty()) {
+        ep.on_timer(now(n), *this);
       }
-      update_link_timer(n);
+      link_timers_.set(n, ep.next_deadline());
     }
     // Publish/retire the node's service deadline so idle workers know when
     // an otherwise-idle client wants its on_idle re-run (backed-off repoll).
-    update_service_timer(s, c);
+    // The published flag is owned by the token holder, so quanta for
+    // clients that never request servicing (the common case) skip the
+    // table's mutex entirely.
+    const SimTime sd = c.service_deadline();
+    if (sd != 0 || s.service_published) {
+      service_timers_.set(n, sd);
+      s.service_published = sd != 0;
+    }
   }
   if (more) {
     s.token.requeue();
@@ -320,7 +349,7 @@ void MnMachine::run_node(NodeSlot& s) {
     // CAS lost to kRunningNotified — see RunTokenCell): re-publish.
     enqueue(s);
   }
-  exec_.detector().note_handled();  // the run token this quantum consumed
+  detector_.note_handled();  // the run token this quantum consumed
 }
 
 void MnMachine::sweep_home_nodes(WorkerRec& rec) {
@@ -338,83 +367,47 @@ void MnMachine::sweep_home_nodes(WorkerRec& rec) {
   }
 }
 
-void MnMachine::update_link_timer(NodeId node) {
-  const SimTime deadline = exec_.link_deadline(node);
-  std::lock_guard lock(timers_mutex_);
+void MnMachine::DeadlineTable::set(NodeId node, SimTime deadline) {
+  std::lock_guard lock(mutex_);
   if (deadline == 0) {
-    timer_deadlines_.erase(node);
+    deadlines_.erase(node);
   } else {
-    timer_deadlines_[node] = deadline;
+    deadlines_[node] = deadline;
   }
 }
 
-SimTime MnMachine::earliest_link_deadline() {
-  if (!links_active()) return 0;
-  std::lock_guard lock(timers_mutex_);
+SimTime MnMachine::DeadlineTable::earliest() {
+  std::lock_guard lock(mutex_);
   SimTime best = 0;
-  for (const auto& [node, deadline] : timer_deadlines_) {
+  for (const auto& [node, deadline] : deadlines_) {
     if (best == 0 || deadline < best) best = deadline;
   }
   return best;
 }
 
-void MnMachine::update_service_timer(NodeSlot& s, NodeClient& c) {
-  // The published flag is owned by the token holder, so quanta for clients
-  // that never request servicing (the common case) skip the mutex entirely.
-  const SimTime deadline = c.service_deadline();
-  if (deadline == 0 && !s.service_published) return;
-  std::lock_guard lock(timers_mutex_);
-  if (deadline == 0) {
-    service_deadlines_.erase(s.id);
-    s.service_published = false;
-  } else {
-    service_deadlines_[s.id] = deadline;
-    s.service_published = true;
+std::vector<NodeId> MnMachine::DeadlineTable::due(SimTime t) {
+  std::lock_guard lock(mutex_);
+  std::vector<NodeId> out;
+  for (const auto& [node, deadline] : deadlines_) {
+    if (deadline <= t) out.push_back(node);
   }
+  return out;
 }
 
-SimTime MnMachine::earliest_service_deadline() {
-  std::lock_guard lock(timers_mutex_);
-  SimTime best = 0;
-  for (const auto& [node, deadline] : service_deadlines_) {
-    if (best == 0 || deadline < best) best = deadline;
-  }
-  return best;
+void MnMachine::DeadlineTable::clear() {
+  std::lock_guard lock(mutex_);
+  deadlines_.clear();
 }
 
-void MnMachine::schedule_due_service() {
-  const SimTime t = now(0);
-  std::vector<NodeId> due;
-  {
-    std::lock_guard lock(timers_mutex_);
-    for (const auto& [node, deadline] : service_deadlines_) {
-      if (deadline <= t) due.push_back(node);
-    }
-  }
-  // The nodes' own quanta re-run on_idle (run_node clears idle_notified when
-  // the deadline has passed) and refresh the table entries; schedule() is
-  // idempotent while a token is pending.
-  for (const NodeId n : due) schedule(n);
-}
-
-void MnMachine::schedule_due_links() {
-  const SimTime t = now(0);
-  std::vector<NodeId> due;
-  {
-    std::lock_guard lock(timers_mutex_);
-    for (const auto& [node, deadline] : timer_deadlines_) {
-      if (deadline <= t) due.push_back(node);
-    }
-  }
-  // The nodes' own quanta fire the timers (and refresh the table entries);
-  // schedule() is idempotent while a token is pending.
-  for (const NodeId n : due) schedule(n);
+void MnMachine::schedule_due(DeadlineTable& table) {
+  // schedule() is idempotent while a token is pending; it runs outside the
+  // table's mutex.
+  for (const NodeId n : table.due(now(0))) schedule(n);
 }
 
 void MnMachine::worker_loop(std::uint32_t w) {
   WorkerRec& rec = *workers_[w];
   tl_worker_ = static_cast<int>(w);
-  TerminationDetector& detector = exec_.detector();
   while (!stop_requested()) {
     const std::uint64_t epoch = wake_epoch_.load(std::memory_order_acquire);
     if (epoch != rec.sweep_epoch) {
@@ -438,10 +431,10 @@ void MnMachine::worker_loop(std::uint32_t w) {
       continue;  // a wake epoch landed after our sweep: re-sweep, don't park
     }
 
-    SimTime deadline = earliest_link_deadline();
+    SimTime deadline = links_active() ? link_timers_.earliest() : 0;
     // A pending service deadline (backed-off repoll) bounds the park too, so
     // an idle node's deferred on_idle fires on time even under faults.
-    const SimTime svc = earliest_service_deadline();
+    const SimTime svc = service_timers_.earliest();
     if (deadline != 0) {
       if (svc != 0 && svc < deadline) deadline = svc;
       // Unacked retransmit masters somewhere: the machine still owes wire
@@ -454,8 +447,8 @@ void MnMachine::worker_loop(std::uint32_t w) {
       park(rec, gen, deadline);
       sleepers_.fetch_sub(1, std::memory_order_relaxed);
       if (!stop_requested()) {
-        schedule_due_links();
-        schedule_due_service();
+        schedule_due(link_timers_);
+        schedule_due(service_timers_);
       }
       continue;
     }
@@ -464,8 +457,8 @@ void MnMachine::worker_loop(std::uint32_t w) {
     // is done (the proof in termination.hpp: the last worker to deactivate
     // is guaranteed a passing double scan). kBusy is always safe: a token
     // or packet push wakes us through the inject/thief handshakes.
-    detector.deactivate(w);
-    switch (detector.check([this] { return tokens(); })) {
+    detector_.deactivate(w);
+    switch (detector_.check([this] { return tokens(); })) {
       case TerminationDetector::Verdict::kQuiescent:
         stop();  // wake_hook rouses every parked worker; they see stop
         return;
@@ -481,8 +474,8 @@ void MnMachine::worker_loop(std::uint32_t w) {
     // repoll fires even with no other traffic), untimed otherwise.
     park(rec, gen, svc);
     sleepers_.fetch_sub(1, std::memory_order_relaxed);
-    detector.activate(w);
-    if (!stop_requested()) schedule_due_service();
+    detector_.activate(w);
+    if (!stop_requested()) schedule_due(service_timers_);
   }
 }
 

@@ -4,8 +4,7 @@
 // queue; this machine runs M nodes on N workers (CAF-style actor
 // multiplexing over the hardware_manager M:N shape):
 //
-//   * Packets cross workers through the per-node MPSC mailboxes owned by the
-//     shared NodeExecutor.
+//   * Packets cross workers through per-node MPSC mailboxes.
 //   * A *runnable node* is a unit of scheduling. Each node carries an atomic
 //     state machine {Idle, Queued, Running, RunningNotified}; a sender whose
 //     CAS wins Idle→Queued publishes exactly one run token for the node, so
@@ -26,7 +25,7 @@
 //     any mailbox AND no runnable node hides in any queue; in-progress
 //     quanta are covered by the running worker being active.
 //   * Under fault injection, nodes holding unacked retransmit masters
-//     publish their next deadline into a shared timer table; a worker that
+//     publish their next deadline into a shared DeadlineTable; a worker that
 //     would otherwise deactivate instead stays *active* and parks with that
 //     deadline: pending wire work keeps the machine non-quiescent, so loss
 //     cannot fake termination.
@@ -48,13 +47,13 @@
 #include <vector>
 
 #include "am/machine.hpp"
-#include "am/node_executor.hpp"
 #include "am/park_handshake.hpp"
 #include "am/run_token.hpp"
 #include "common/fast_clock.hpp"
 #include "common/lint_markers.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/rng.hpp"
+#include "common/termination.hpp"
 #include "common/ws_deque.hpp"
 
 namespace hal::am {
@@ -85,10 +84,8 @@ class MnMachine final : public Machine, private LinkSink {
 
   /// Epoch counters (stress tests, stats). These count packets *and* run
   /// tokens — see the termination note above.
-  std::uint64_t units_sent() const noexcept { return exec_.detector().sent(); }
-  std::uint64_t units_handled() const noexcept {
-    return exec_.detector().handled();
-  }
+  std::uint64_t units_sent() const noexcept { return detector_.sent(); }
+  std::uint64_t units_handled() const noexcept { return detector_.handled(); }
   /// Run tokens taken from another worker's deque (scheduling diagnostics).
   std::uint64_t steals() const noexcept {
     return steals_.load(std::memory_order_relaxed);
@@ -108,7 +105,25 @@ class MnMachine final : public Machine, private LinkSink {
     std::uint32_t home = 0;       // home worker for off-pool injection
     bool idle_notified = false;   // on_idle already ran for this idle spell
     std::uint64_t idle_epoch = 0; // wake epoch that on_idle last observed
-    bool service_published = false;  // entry live in service_deadlines_
+    bool service_published = false;  // entry live in service_timers_
+  };
+
+  /// Node → deadline (ns on clock_) shared by the workers; 0 = no entry.
+  /// Touched only off the message fast path (end of quantum, worker idle
+  /// transitions), so one mutex per table is cheap enough.
+  class DeadlineTable {
+   public:
+    /// Publish `node`'s deadline; 0 erases its entry.
+    void set(NodeId node, SimTime deadline);
+    /// Earliest published deadline; 0 = none.
+    SimTime earliest();
+    /// The nodes whose deadline is at or before `t`.
+    std::vector<NodeId> due(SimTime t);
+    void clear();
+
+   private:
+    std::mutex mutex_;
+    std::map<NodeId, SimTime> deadlines_;
   };
 
   struct WorkerRec {
@@ -152,7 +167,12 @@ class MnMachine final : public Machine, private LinkSink {
   void enqueue(NodeSlot& slot);
   /// Next token for worker `rec`: inject queue, own deque, then stealing.
   NodeSlot* next_runnable(WorkerRec& rec);
+  /// Count `p` in the sent epoch, push it into its destination mailbox,
+  /// then schedule the destination node.
   void post_and_schedule(Packet p);
+  /// Pop and run up to `max` packets from `node`'s mailbox through the
+  /// arrival demux; returns the number popped.
+  std::size_t drain(NodeId node, std::size_t max);
   /// Producer half of the park handshake, after a push into `rec.inject`.
   void wake_worker(WorkerRec& rec) noexcept;
   /// Best-effort: rouse one parked worker to come steal (pure throughput —
@@ -161,18 +181,9 @@ class MnMachine final : public Machine, private LinkSink {
   /// Schedule every home node of `rec` that should re-observe global state:
   /// all of them on the priming pass, idle ones on later wake epochs.
   void sweep_home_nodes(WorkerRec& rec);
-  /// Publish/erase `node`'s entry in the shared link-timer table.
-  void update_link_timer(NodeId node);
-  SimTime earliest_link_deadline();
-  /// Schedule every node whose retransmission deadline has passed.
-  void schedule_due_links();
-  /// Publish/erase the slot's entry in the shared service-deadline table
-  /// (NodeClient::service_deadline — e.g. the balancer's backed-off repoll).
-  void update_service_timer(NodeSlot& s, NodeClient& c);
-  SimTime earliest_service_deadline();
-  /// Schedule every node whose service deadline has passed (its quantum
-  /// re-runs on_idle).
-  void schedule_due_service();
+  /// Schedule every node whose deadline in `table` has passed; its own
+  /// quantum does the due work and refreshes its entry.
+  void schedule_due(DeadlineTable& table);
 
   // LinkSink (fault plane).
   void link_transmit(Packet p, SimTime extra_delay_ns) override;
@@ -181,7 +192,14 @@ class MnMachine final : public Machine, private LinkSink {
   std::uint32_t workers_n_;
   std::vector<NodeSlot> slots_;
   std::vector<std::unique_ptr<WorkerRec>> workers_;
-  NodeExecutor exec_;  // mailboxes, epochs, demux (shared node-stepping core)
+  // One participant per worker. The sent/handled epochs count physical
+  // packets and run tokens (see the termination note above).
+  TerminationDetector detector_;
+  // Physical packets in flight are epoch-counted units (HAL_EPOCH_COUNTED →
+  // hal-lint HL009): post_and_schedule bumps the sent epoch before every
+  // push, drain bumps handled after every pop, so the detector's double scan
+  // stays exact.
+  std::vector<std::unique_ptr<MpscQueue<Packet>>> mailboxes_ HAL_EPOCH_COUNTED;
   // now() reads clock_ (calibrated TSC, ~7 ns); epoch_ anchors the cv
   // wait_until deadlines in steady_clock terms. The two clocks' sub-µs
   // offset/drift only shifts when a timed park *wakes*; due-ness is always
@@ -193,15 +211,13 @@ class MnMachine final : public Machine, private LinkSink {
   std::atomic<std::uint64_t> wake_epoch_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<std::uint32_t> sleepers_{0};  // gate for maybe_wake_thief
-  // Link retransmission deadlines of nodes with unacked masters. Guarded by
-  // timers_mutex_; touched only off the message fast path (end of quantum
-  // under faults, worker idle transitions).
-  std::mutex timers_mutex_;
-  std::map<NodeId, SimTime> timer_deadlines_;
-  // Service deadlines of idle nodes whose client wants a later on_idle
-  // re-run (NodeClient::service_deadline). Same guard and access pattern as
-  // the link-timer table above.
-  std::map<NodeId, SimTime> service_deadlines_;
+  // Retransmission deadlines of nodes with unacked masters. A pending entry
+  // keeps a worker out of the idle set: the machine still owes wire work.
+  DeadlineTable link_timers_;
+  // Deadlines at which idle clients want on_idle re-run
+  // (NodeClient::service_deadline, e.g. the balancer's backed-off repoll).
+  // An entry only bounds a worker's park; it never blocks quiescence.
+  DeadlineTable service_timers_;
 
   static thread_local int tl_worker_;  // index into workers_, -1 off-pool
 

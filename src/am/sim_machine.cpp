@@ -267,10 +267,10 @@ void SimMachine::run() {
         handler_time_ = start;
         charge(n, costs().handler_entry_ns);
         idle_notified_[n] = false;
-        // Shared demux (node_executor.hpp): faulty-wire packets dedupe/
+        // Arrival demux (Machine::arrive): faulty-wire packets dedupe/
         // reorder/ack in the endpoint and reach the client via link_deliver,
         // all within this handler slot; direct packets go straight through.
-        exec_.dispatch(n, std::move(e.packet), *this);
+        arrive(n, std::move(e.packet), *this);
         const SimTime stolen = handler_time_ - start;
         handler_tail_[n] = handler_time_;
         in_handler_ = false;
@@ -293,7 +293,7 @@ void SimMachine::run() {
         link_timer_pending_[n] = false;
         clock_[n] = std::max(clock_[n], e.time);
         if (links_active()) {
-          exec_.fire_link_timer(n, current_time(n), *this);
+          link(n).on_timer(current_time(n), *this);
           schedule_link_timer(n);
         }
         break;

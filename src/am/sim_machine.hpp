@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "am/machine.hpp"
-#include "am/node_executor.hpp"
 
 namespace hal::am {
 
@@ -116,10 +115,6 @@ class SimMachine final : public Machine, private LinkSink {
   /// gets for free) would be lost.
   void autoflush(NodeId node);
 
-  // Shared node-stepping core, demux/timer entry points only: packets live
-  // in the event queue below (no mailboxes) and quiescence is queue
-  // exhaustion (no detector participants).
-  NodeExecutor exec_{*this, 0, /*mailboxes=*/false};
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
   std::vector<SimTime> clock_;         // method/compute stream
   std::vector<SimTime> handler_tail_;  // handler-stream serialization point

@@ -192,7 +192,6 @@ class FrameReader {
   bool next(Packet& out, BufferPool& pool);
 
   std::uint32_t expected() const noexcept { return expected_; }
-  std::uint32_t decoded() const noexcept { return decoded_; }
 
  private:
   const Packet& frame_;

@@ -70,6 +70,7 @@ class MigrationTest : public ::testing::TestWithParam<MachineKind> {
     RuntimeConfig c;
     c.nodes = nodes;
     c.machine = GetParam();
+    c.mn_workers = 2;  // kMn only: fewer workers than nodes
     return c;
   }
   bool is_sim() const { return GetParam() == MachineKind::kSim; }
@@ -285,11 +286,17 @@ TEST_P(MigrationTest, ManyHopsStressForwardChains) {
 
 INSTANTIATE_TEST_SUITE_P(Machines, MigrationTest,
                          ::testing::Values(MachineKind::kSim,
-                                           MachineKind::kThread),
+                                           MachineKind::kThread,
+                                           MachineKind::kMn),
                          [](const auto& param_info) {
-                           return param_info.param == MachineKind::kSim
-                                      ? "Sim"
-                                      : "Thread";
+                           switch (param_info.param) {
+                             case MachineKind::kSim:
+                               return "Sim";
+                             case MachineKind::kThread:
+                               return "Thread";
+                             default:
+                               return "Mn";
+                           }
                          });
 
 }  // namespace

@@ -71,6 +71,7 @@ struct StormCase {
   NodeId nodes;
   std::int64_t ops;
   MachineKind machine;
+  std::uint32_t mn_workers = 0;  // kMn pool size; ignored by other kinds
 };
 
 class MigrationStorm : public ::testing::TestWithParam<StormCase> {};
@@ -80,6 +81,7 @@ TEST_P(MigrationStorm, ExactlyOnceDeliveryUnderRelocation) {
   RuntimeConfig cfg;
   cfg.nodes = c.nodes;
   cfg.machine = c.machine;
+  cfg.mn_workers = c.mn_workers;
   cfg.seed = c.seed;
   Runtime rt(cfg);
   rt.load<Nomad>();
@@ -120,7 +122,9 @@ INSTANTIATE_TEST_SUITE_P(
                       StormCase{6, 16, 150, MachineKind::kSim},
                       StormCase{7, 3, 100, MachineKind::kSim},
                       StormCase{8, 4, 120, MachineKind::kThread},
-                      StormCase{9, 8, 150, MachineKind::kThread}));
+                      StormCase{9, 8, 150, MachineKind::kThread},
+                      StormCase{10, 4, 120, MachineKind::kMn, 2},
+                      StormCase{11, 8, 150, MachineKind::kMn, 2}));
 
 TEST_P(MigrationStorm, EpochsIncreaseAlongForwardChains) {
   const StormCase& c = GetParam();
