@@ -8,7 +8,6 @@
 //   paper           — closer to the paper's sizes (minutes on one core)
 #pragma once
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -76,34 +75,6 @@ inline MachineKind env_machine(MachineKind fallback) {
 /// Ignored unless the selected machine is mn.
 inline std::uint32_t env_mn_workers() {
   return env_unsigned("HAL_MN_WORKERS", 0);
-}
-
-/// Wire-batching knobs from the environment (docs/perf.md); only
-/// caf_storms reads them, for its batching-on runs:
-///   HAL_BATCH=0|1            master switch (default: the config's default)
-///   HAL_BATCH_FRAME_BYTES=N  frame payload cap
-///   HAL_BATCH_MAX_MSGS=N     fill-flush record threshold
-///   HAL_BATCH_HOLDOFF_NS=N   initial per-destination holdoff
-/// Values that would make the config invalid are rejected with a warning
-/// and the fallback is kept — same contract as env_unsigned above.
-inline am::BatchConfig env_batching(am::BatchConfig fallback) {
-  am::BatchConfig cfg = fallback;
-  cfg.enabled = env_unsigned("HAL_BATCH", cfg.enabled ? 1 : 0) != 0;
-  cfg.max_frame_bytes = env_unsigned("HAL_BATCH_FRAME_BYTES",
-                                     cfg.max_frame_bytes);
-  cfg.max_msgs = env_unsigned("HAL_BATCH_MAX_MSGS", cfg.max_msgs);
-  cfg.holdoff_ns = env_unsigned(
-      "HAL_BATCH_HOLDOFF_NS", static_cast<unsigned>(cfg.holdoff_ns));
-  // Keep the adaptive clamp range around a knobbed holdoff.
-  cfg.holdoff_min_ns = std::min(cfg.holdoff_min_ns, cfg.holdoff_ns);
-  cfg.holdoff_max_ns = std::max(cfg.holdoff_max_ns, cfg.holdoff_ns);
-  if (!cfg.valid()) {
-    std::fprintf(stderr,
-                 "warning: HAL_BATCH_* values form an invalid BatchConfig; "
-                 "using defaults\n");
-    return fallback;
-  }
-  return cfg;
 }
 
 inline double ms(SimTime ns) { return static_cast<double>(ns) / 1e6; }

@@ -18,11 +18,11 @@
 //                flush (the pinger's node quiesces after each hop), so
 //                this storm bounds the latency tax of the holdoff.
 //
-// Knobs (docs/perf.md): HAL_BATCH, HAL_BATCH_FRAME_BYTES,
-// HAL_BATCH_MAX_MSGS, HAL_BATCH_HOLDOFF_NS select the batched
-// configuration; HAL_CAF_MIN_SPEEDUP=<percent> turns the n:1 batched-over-
-// unbatched throughput ratio into a hard budget (CI perf-smoke sets 130 —
-// the batching layer must buy at least 1.3x on the contended storm).
+// The "on" runs use the fixed batching policy (am::BatchConfig constants,
+// docs/perf.md), which the banner prints. HAL_CAF_MIN_SPEEDUP=<percent>
+// turns the n:1 batched-over-unbatched throughput ratio into a hard budget
+// (CI perf-smoke sets 130 — the batching layer must buy at least 1.3x on
+// the contended storm).
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -243,6 +243,14 @@ int main() {
       "destination-coalesced wire batching: per-message overhead amortized "
       "per frame",
       hal::bench::describe_machine(MachineKind::kThread, 0));
+  using Policy = am::BatchConfig;
+  std::printf(
+      "batching on: %u-byte frames, %u msgs max, holdoff %llu ns adapting "
+      "in [%llu, %llu] ns\n",
+      Policy::max_frame_bytes, Policy::max_msgs,
+      static_cast<unsigned long long>(Policy::holdoff_ns),
+      static_cast<unsigned long long>(Policy::holdoff_min_ns),
+      static_cast<unsigned long long>(Policy::holdoff_max_ns));
 
   const bool paper = hal::bench::paper_scale();
   const std::uint64_t flood_n = paper ? 2'000'000 : 200'000;
@@ -253,7 +261,7 @@ int main() {
 
   am::BatchConfig off;
   off.enabled = false;
-  const am::BatchConfig on = hal::bench::env_batching(am::BatchConfig{});
+  const am::BatchConfig on{};
 
   Row rows[] = {
       {"mailbox flood (1:1, 2 nodes)",

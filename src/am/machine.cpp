@@ -41,18 +41,14 @@ void Machine::for_each_link_payload(
 // --- Wire batching -----------------------------------------------------------
 
 void Machine::configure_batching(const BatchConfig& cfg) {
-  HAL_ASSERT(cfg.valid());
-  batch_ = cfg;
   wire_.clear();
   // A single node has no remote channel to coalesce (loopback never
   // batches), so leave the layer inert rather than instantiating it.
   if (!cfg.enabled || node_count() < 2) return;
   wire_.reserve(node_count());
   for (NodeId n = 0; n < node_count(); ++n) {
-    auto agg = std::make_unique<WireAggregator>();
-    agg->configure(n, cfg,
-                   clients_[n] != nullptr ? clients_[n]->link_pool() : nullptr);
-    wire_.push_back(std::move(agg));
+    wire_.push_back(std::make_unique<WireAggregator>(
+        clients_[n] != nullptr ? clients_[n]->link_pool() : nullptr));
   }
 }
 
@@ -66,7 +62,7 @@ bool Machine::batch_eligible(const Packet& p) const noexcept {
   if (p.urgent) return false;
   if (p.src == p.dst) return false;
   if (p.payload.size() > kMaxInlinePayload) return false;
-  return frame_record_size(p) <= batch_.max_frame_bytes;
+  return frame_record_size(p) <= BatchConfig::max_frame_bytes;
 }
 
 void Machine::emit_frame(WireAggregator& agg, FrameBuilder& fb, NodeId src,
@@ -91,7 +87,7 @@ void Machine::emit_frame(WireAggregator& agg, FrameBuilder& fb, NodeId src,
           clients_[src] != nullptr ? clients_[src]->wire_probes() : nullptr) {
     probes->record(obs::Probe::kFrameFill, fb.count());
   }
-  wire_inject(fb.close(src, dst, cause, agg.config()));
+  wire_inject(fb.close(src, dst, cause));
 }
 
 void Machine::batch_append(Packet p, SimTime now) {
@@ -100,12 +96,12 @@ void Machine::batch_append(Packet p, SimTime now) {
   const NodeId src = p.src;
   const NodeId dst = p.dst;
   FrameBuilder& fb = agg.builder(dst);
-  if (fb.open() && !fb.fits(p, agg.config())) {
+  if (fb.open() && !fb.fits(p)) {
     emit_frame(agg, fb, src, dst, FlushCause::kFill);
   }
   ++agg.stats().msgs_coalesced;
-  fb.add(std::move(p), now, agg.config(), agg.pool());
-  if (fb.count() >= agg.config().max_msgs) {
+  fb.add(std::move(p), now, agg.pool());
+  if (fb.count() >= BatchConfig::max_msgs) {
     emit_frame(agg, fb, src, dst, FlushCause::kFill);
   }
 }

@@ -315,7 +315,6 @@ class Machine {
   std::vector<std::unique_ptr<LinkEndpoint>> links_;
   FaultConfig faults_{};
   std::vector<std::unique_ptr<WireAggregator>> wire_;
-  BatchConfig batch_{};
 };
 
 }  // namespace hal::am

@@ -4,12 +4,10 @@
 
 namespace hal::am {
 
-void FrameBuilder::add(Packet p, SimTime now, const BatchConfig& cfg,
-                       BufferPool& pool) {
+void FrameBuilder::add(Packet p, SimTime now, BufferPool& pool) {
   if (count_ == 0) {
     HAL_ASSERT(buf_.empty());
-    buf_ = pool.reserve(cfg.max_frame_bytes);
-    if (holdoff_ == 0) holdoff_ = cfg.holdoff_ns;
+    buf_ = pool.reserve(BatchConfig::max_frame_bytes);
     deadline_ = now + holdoff_;
   }
   const std::uint8_t nwords = frame_used_words(p);
@@ -39,10 +37,9 @@ void FrameBuilder::add(Packet p, SimTime now, const BatchConfig& cfg,
   pool.release(std::move(p.payload));
 }
 
-Packet FrameBuilder::close(NodeId src, NodeId dst, FlushCause cause,
-                           const BatchConfig& cfg) {
+Packet FrameBuilder::close(NodeId src, NodeId dst, FlushCause cause) {
   HAL_ASSERT(count_ != 0);
-  if (cfg.adaptive && cause == FlushCause::kTimer) {
+  if (cause == FlushCause::kTimer) {
     // Only timer flushes teach us anything: a fill flush closed before the
     // deadline mattered (raising the holdoff there would just tax the next
     // latency-critical singleton on a bursty channel), and idle/barrier
@@ -50,10 +47,10 @@ Packet FrameBuilder::close(NodeId src, NodeId dst, FlushCause cause,
     // slightly too short for the burst — wait longer and reach fill next
     // time; a near-empty timeout means the traffic is latency-bound — stop
     // making it wait.
-    if (count_ >= cfg.max_msgs / 2) {
-      holdoff_ = std::min<SimTime>(holdoff_ * 2, cfg.holdoff_max_ns);
-    } else if (count_ < cfg.max_msgs / 4) {
-      holdoff_ = std::max<SimTime>(holdoff_ / 2, cfg.holdoff_min_ns);
+    if (count_ >= BatchConfig::max_msgs / 2) {
+      holdoff_ = std::min<SimTime>(holdoff_ * 2, BatchConfig::holdoff_max_ns);
+    } else if (count_ < BatchConfig::max_msgs / 4) {
+      holdoff_ = std::max<SimTime>(holdoff_ / 2, BatchConfig::holdoff_min_ns);
     }
   }
   Packet f;

@@ -31,11 +31,13 @@
 //             detection must never see a held frame)
 //   barrier — an unbatchable packet needed the channel, or shutdown drain
 //
-// The holdoff adapts per destination when BatchConfig::adaptive: a fill
-// flush doubles it (the channel is hot — wait for fuller frames), a timer
-// flush of a near-empty frame halves it (latency-bound traffic), clamped
-// to [holdoff_min_ns, holdoff_max_ns]. All decisions depend only on the
-// deterministic flush sequence, so SimMachine reports stay byte-identical.
+// The policy is fixed (BatchConfig's constants; only `enabled` is set at
+// run time). The holdoff adapts per destination on timer flushes only: a
+// timer flush of a frame at least half full doubles it (the burst needed a
+// little longer to reach fill), one under a quarter full halves it
+// (latency-bound traffic), clamped to [holdoff_min_ns, holdoff_max_ns].
+// All decisions depend only on the deterministic flush sequence, so
+// SimMachine reports stay byte-identical.
 //
 // Ownership: frame buffers come from the *sending* node's BufferPool
 // (borrowed from NodeClient::link_pool, private fallback otherwise) and
@@ -65,9 +67,10 @@ inline constexpr std::size_t kFrameRecordHeader = 16;
 inline constexpr std::size_t kMinFrameBytes =
     kFrameRecordHeader + kPacketWords * sizeof(std::uint64_t);
 
-/// Knobs for the aggregation layer. Like FaultConfig this rides
-/// RuntimeConfig and is applied once, after clients attach and before
-/// run(), via Machine::configure_batching.
+/// The aggregation layer's policy. Only `enabled` is set at run time; it
+/// rides RuntimeConfig and is applied once, after clients attach and before
+/// run(), via Machine::configure_batching. The tuning values are fixed
+/// constants (tuned on the CAF storm shapes, bench/caf_storms).
 struct BatchConfig {
   /// Master switch. Batching is on by default: coalescing is semantically
   /// invisible (per-channel order and exactly-once delivery preserved) and
@@ -75,32 +78,34 @@ struct BatchConfig {
   /// one-packet-per-message path.
   bool enabled = true;
   /// Frame payload cap. Bounded by kBulkChunkBytes (the machine's hard
-  /// per-packet cap); the default fills the pool's 4 KiB size class — a
+  /// per-packet cap); the value fills the pool's 4 KiB size class — a
   /// half-full 2 KiB frame would recycle through the same class, so
   /// capping below it only halves the amortization, never the footprint.
-  std::uint32_t max_frame_bytes = 4096;
-  /// Fill-flush threshold: a frame closes after this many records.
-  std::uint32_t max_msgs = 64;
+  static constexpr std::uint32_t max_frame_bytes = 4096;
+  /// Fill-flush threshold: a frame closes after this many records. The
+  /// kernel runs the same number of queued messages per dispatcher item, so
+  /// a decoded frame executes as one burst.
+  static constexpr std::uint32_t max_msgs = 64;
   /// Initial per-destination holdoff: how long the first record of a frame
   /// may wait for company before a timer flush (virtual ns under Sim, wall
-  /// ns under Thread/Mn). Kept small: bursty channels double their way up
+  /// ns under Mn). Kept small: bursty channels double their way up
   /// adaptively, while pipelined dependency chains (one small message per
   /// hop, sender still busy) only ever pay this much extra latency.
-  SimTime holdoff_ns = 2'000;
+  static constexpr SimTime holdoff_ns = 2'000;
   /// Adaptive holdoff clamp range.
-  SimTime holdoff_min_ns = 1'000;
-  SimTime holdoff_max_ns = 100'000;
-  /// Adapt the holdoff per destination from the observed flush causes.
-  bool adaptive = true;
-
-  bool valid() const noexcept {
-    if (!enabled) return true;
-    return max_frame_bytes >= kMinFrameBytes &&
-           max_frame_bytes <= kBulkChunkBytes && max_msgs >= 2 &&
-           holdoff_min_ns >= 1 && holdoff_ns >= holdoff_min_ns &&
-           holdoff_ns <= holdoff_max_ns;
-  }
+  static constexpr SimTime holdoff_min_ns = 1'000;
+  static constexpr SimTime holdoff_max_ns = 100'000;
+  /// The holdoff always adapts (FrameBuilder::close); there is no fixed-
+  /// holdoff mode. Kept so config echoes can print the whole policy.
+  static constexpr bool adaptive = true;
 };
+
+static_assert(BatchConfig::max_frame_bytes >= kMinFrameBytes &&
+              BatchConfig::max_frame_bytes <= kBulkChunkBytes);
+static_assert(BatchConfig::max_msgs >= 2);
+static_assert(BatchConfig::holdoff_min_ns >= 1 &&
+              BatchConfig::holdoff_min_ns <= BatchConfig::holdoff_ns &&
+              BatchConfig::holdoff_ns <= BatchConfig::holdoff_max_ns);
 
 /// Why a frame closed. Indexes the WireStats flush counters and drives the
 /// adaptive holdoff.
@@ -147,19 +152,18 @@ class FrameBuilder {
   SimTime deadline() const noexcept { return deadline_; }
 
   /// Would `p`'s record still fit under the frame byte cap?
-  bool fits(const Packet& p, const BatchConfig& cfg) const noexcept {
-    return buf_.size() + frame_record_size(p) <= cfg.max_frame_bytes;
+  bool fits(const Packet& p) const noexcept {
+    return buf_.size() + frame_record_size(p) <= BatchConfig::max_frame_bytes;
   }
 
   /// Append `p` as a record. The first record arms the holdoff deadline and
   /// acquires the frame buffer from `pool`; `p`'s payload retires back into
   /// `pool` (both on the sending node's stream). Caller checked fits().
-  void add(Packet p, SimTime now, const BatchConfig& cfg, BufferPool& pool);
+  void add(Packet p, SimTime now, BufferPool& pool);
 
   /// Close the frame into a wire packet (frame = true, words[0] = record
   /// count, payload = the record bytes) and adapt the holdoff from `cause`.
-  Packet close(NodeId src, NodeId dst, FlushCause cause,
-               const BatchConfig& cfg);
+  Packet close(NodeId src, NodeId dst, FlushCause cause);
 
   /// Shutdown path: retire a still-open buffer without shipping it.
   void abandon(BufferPool& pool);
@@ -171,7 +175,7 @@ class FrameBuilder {
   Bytes buf_;
   std::uint32_t count_ = 0;
   SimTime deadline_ = 0;
-  SimTime holdoff_ = 0;  // adaptive; seeded from cfg on first use
+  SimTime holdoff_ = BatchConfig::holdoff_ns;  // adapted by timer closes
 };
 
 /// Iterate the records of a received frame, rehydrating each into a
@@ -207,15 +211,8 @@ class FrameReader {
 /// only from the owning node's execution stream, like LinkEndpoint.
 class WireAggregator {
  public:
-  void configure(NodeId self, const BatchConfig& cfg, BufferPool* pool) {
-    self_ = self;
-    cfg_ = cfg;
-    pool_ = pool;
-    frames_.clear();
-    stats_ = WireStats{};
-  }
+  explicit WireAggregator(BufferPool* pool) : pool_(pool) {}
 
-  const BatchConfig& config() const noexcept { return cfg_; }
   /// The node's payload pool (kernel-provided), or the private fallback
   /// for bare machine-level clients.
   BufferPool& pool() noexcept {
@@ -250,8 +247,6 @@ class WireAggregator {
   const WireStats& stats() const noexcept { return stats_; }
 
  private:
-  NodeId self_ = kInvalidNode;
-  BatchConfig cfg_{};
   BufferPool* pool_ = nullptr;
   BufferPool fallback_pool_;
   std::map<NodeId, FrameBuilder> frames_;

@@ -50,7 +50,6 @@ enum class ConfigErrorCode : std::uint8_t {
   kTooManyNodes,       ///< node id does not fit the 16-bit wire encoding
   kStackDepthTooLarge, ///< stack-scheduling quantum risks host-stack overflow
   kBadFaultConfig,     ///< fault-injection probability outside [0, 1]
-  kBadBatchConfig,     ///< wire-batching knobs outside their valid ranges
 };
 
 /// Typed rejection of an invalid RuntimeConfig. Constructing a Runtime from
@@ -125,9 +124,11 @@ struct RuntimeConfig {
   /// Destination-coalesced wire batching (am/wire_batch.hpp): small remote
   /// sends pack into one bounded frame per (source, destination) channel,
   /// amortizing per-message injection overhead on the hot path. On by
-  /// default; single-node machines stay unbatched automatically. Delivery
-  /// semantics are unchanged — frames preserve per-channel FIFO order and
-  /// ride the reliable link whole under fault injection.
+  /// default; single-node machines stay unbatched automatically. Only the
+  /// on/off switch is set here; frame size, record cap and holdoff are the
+  /// fixed BatchConfig constants. Delivery semantics are unchanged — frames
+  /// preserve per-channel FIFO order and ride the reliable link whole under
+  /// fault injection.
   am::BatchConfig batching;
 
   /// Validated construction: returns the first problem found, or nullopt for
@@ -156,13 +157,6 @@ struct RuntimeConfig {
           ConfigErrorCode::kBadFaultConfig,
           "RuntimeConfig: fault probabilities (drop/duplicate/delay) must "
           "lie in [0, 1]");
-    }
-    if (!batching.valid()) {
-      return ConfigError(
-          ConfigErrorCode::kBadBatchConfig,
-          "RuntimeConfig: wire-batching knobs invalid (frame bytes must lie "
-          "in [64, bulk-chunk], max_msgs >= 2, holdoff_min <= holdoff <= "
-          "holdoff_max with holdoff_min >= 1)");
     }
     return std::nullopt;
   }

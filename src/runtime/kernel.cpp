@@ -132,16 +132,16 @@ bool Kernel::step() {
       machine_.work_hint_add(-1);
       return true;
     }
-    // Mailbox burst: run up to kMailboxBurst queued messages while we hold
-    // the dispatcher item instead of one message per item (the receive half
-    // of wire batching — a decoded frame becomes one dispatcher burst, not
-    // max_msgs round trips through the ready queue). `scheduled` stays true
+    // Mailbox burst: run up to BatchConfig::max_msgs queued messages while
+    // we hold the dispatcher item instead of one message per item (the
+    // receive half of wire batching — a decoded frame becomes one
+    // dispatcher burst, not max_msgs round trips through the ready queue). `scheduled` stays true
     // for the whole burst, so post_method's re-schedule and any deliveries
     // the methods trigger early-out instead of queueing duplicate items;
     // the per-message dispatcher push/pop and the shared work-hint RMWs
     // collapse to one pair per burst. The cap keeps other actors' latency
     // bounded — same fairness shape as the frame size cap on the wire.
-    for (std::uint32_t n = 0; n < kMailboxBurst; ++n) {
+    for (std::uint32_t n = 0; n < am::BatchConfig::max_msgs; ++n) {
       Message m = std::move(rec->mailbox.front());
       rec->mailbox.pop_front();
       if (m.enqueued_at != 0) {

@@ -74,11 +74,6 @@ struct DrainStats {
 // audited by their own annotations instead.
 class Kernel final : public am::NodeClient {
  public:
-  /// Messages one dispatcher item may run from a single actor's mailbox
-  /// before the actor goes to the back of the ready queue (step()). Matches
-  /// BatchConfig::max_msgs so a decoded wire frame executes as one burst.
-  static constexpr std::uint32_t kMailboxBurst = 64;
-
   Kernel(am::Machine& machine, NodeId self, const BehaviorRegistry& registry,
          const RuntimeConfig& config);
   ~Kernel() override;

@@ -3,13 +3,14 @@
 // runs stay byte-identical, batched results equal unbatched results),
 // reliability (frames ride the link whole: exactly-once, in-order under
 // loss), liveness (held frames force-flush at quiescence instead of waiting
-// out the holdoff), and config validation.
+// out the holdoff), and the adaptive holdoff rules of the fixed policy.
 //
 // Suite names contain "Fault" where the CI sanitizer jobs should pick them
 // up (-R 'Stress|ThreadMachine|MnMachine|Bulk|Fault'). "ThreadMachine" in a
 // test name means the thread kind: MnMachine at one worker per node.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -192,64 +193,149 @@ TEST(WireBatchFault, ThreadMachineCoalescedFramesSurviveLoss) {
 
 // --- Forced flush at quiescence -------------------------------------------------
 
+/// Sends one eligible packet from its first step, then has no more work.
+class OneShotClient : public RecordingClient {
+ public:
+  OneShotClient(am::Machine& m, am::Packet p) : m_(m), p_(std::move(p)) {}
+  bool step() override {
+    if (sent_) return false;
+    sent_ = true;
+    m_.send(std::move(p_));
+    return true;
+  }
+  bool has_work() const override { return !sent_; }
+
+ private:
+  am::Machine& m_;
+  am::Packet p_;
+  bool sent_ = false;
+};
+
+/// Records the machine time each frame's records were delivered at.
+class FrameTimingClient : public RecordingClient {
+ public:
+  void on_frame_begin(SimTime now, std::uint32_t) override {
+    frame_at.push_back(now);
+  }
+  std::vector<SimTime> frame_at;
+};
+
 TEST(WireBatchFault, IdleTransitionFlushKeepsTerminationPrompt) {
-  // A holdoff far beyond any reasonable run: if quiescence had to wait out
-  // the timer, Sim's makespan would blow up (and the thread kind below would
-  // stall for wall-clock seconds). The busy->idle flush must ship the held
-  // frames instead.
-  RuntimeConfig cfg;
-  cfg.batching.holdoff_ns = 5'000'000'000;  // 5 s
-  cfg.batching.holdoff_max_ns = 5'000'000'000;
-  cfg.batching.adaptive = false;
-  const StormResult r = run_flood(cfg, /*per_sender=*/40);
-  EXPECT_EQ(r.sum, flood_expect(4, 40));
-  EXPECT_EQ(r.dead, 0u);
-  EXPECT_GT(r.report.total.get(Stat::kWireFlushIdle), 0u);
-  EXPECT_EQ(r.report.total.get(Stat::kWireFlushTimer), 0u);
-  // Virtual time stayed in the microsecond regime — nothing waited 5 s.
-  EXPECT_LT(r.report.makespan_ns, cfg.batching.holdoff_ns);
+  // The sender's node goes idle right after one eligible send: the
+  // busy->idle flush must ship the held frame at once instead of leaving it
+  // to the holdoff timer.
+  am::SimMachine machine(2, am::CostModel::cm5());
+  OneShotClient sender(machine, tagged(0, 1, 7));
+  FrameTimingClient receiver;
+  machine.attach(0, &sender);
+  machine.attach(1, &receiver);
+  machine.configure_batching(am::BatchConfig{});
+  machine.run();
+
+  ASSERT_EQ(receiver.received.size(), 1u);
+  ASSERT_EQ(receiver.frame_at.size(), 1u);
+  const am::WireStats& ws = *machine.wire_stats(0);
+  EXPECT_EQ(ws.frames_sent, 1u);
+  EXPECT_EQ(ws.flush_idle, 1u);
+  EXPECT_EQ(ws.flush_timer, 0u);
+  // The record was stamped when sent; the frame paid its one injection and
+  // left at once, so it arrived one wire latency later (the receiver's
+  // handler entry is charged before decode). A timer flush would have added
+  // the whole holdoff.
+  const am::CostModel& c = machine.costs();
+  const SimTime sent = receiver.received[0].stamp;
+  const SimTime arrival = receiver.frame_at[0] - c.handler_entry_ns;
+  const SimTime left = sent + c.packet_inject_ns;
+  EXPECT_EQ(arrival, left + c.wire_latency_ns);
+  EXPECT_LT(arrival, left + am::BatchConfig::holdoff_ns + c.wire_latency_ns);
 }
 
 TEST(WireBatchFault, ThreadMachineIdleFlushTerminatesWithHugeHoldoff) {
+  // Each sender's node goes idle once its flood is out; a frame stranded at
+  // quiescence would lose messages from the exact sum below.
   RuntimeConfig cfg;
   cfg.machine = MachineKind::kThread;
-  cfg.batching.holdoff_ns = 5'000'000'000;
-  cfg.batching.holdoff_max_ns = 5'000'000'000;
-  cfg.batching.adaptive = false;
-  // Completion alone is the assertion: a missing idle flush would park this
-  // run for ~5 s per held frame (and trip the suite's timeout).
   const StormResult r = run_flood(cfg, /*per_sender=*/40);
   EXPECT_EQ(r.sum, flood_expect(4, 40));
   EXPECT_EQ(r.dead, 0u);
 }
 
-// --- Config validation ----------------------------------------------------------
+// --- Adaptive holdoff -----------------------------------------------------------
 
-TEST(WireBatch, InvalidKnobsAreRejected) {
-  RuntimeConfig cfg;
-  cfg.batching.max_msgs = 1;  // a one-record "frame" is not coalescing
-  auto err = cfg.validate();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->code(), ConfigErrorCode::kBadBatchConfig);
+/// Append `n` records to `fb` at time `now`.
+void fill(am::FrameBuilder& fb, std::uint32_t n, SimTime now,
+          BufferPool& pool) {
+  for (std::uint32_t i = 0; i < n; ++i) fb.add(tagged(0, 1, i), now, pool);
+}
 
-  RuntimeConfig huge;
-  huge.batching.max_frame_bytes = am::kBulkChunkBytes + 1;
-  err = huge.validate();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->code(), ConfigErrorCode::kBadBatchConfig);
+/// Close `fb` with `cause` and return the frame buffer to `pool`.
+void close_into(am::FrameBuilder& fb, am::FlushCause cause,
+                BufferPool& pool) {
+  am::Packet f = fb.close(0, 1, cause);
+  pool.release(std::move(f.payload));
+}
 
-  RuntimeConfig inverted;
-  inverted.batching.holdoff_ns = 10;
-  inverted.batching.holdoff_min_ns = 100;
-  err = inverted.validate();
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->code(), ConfigErrorCode::kBadBatchConfig);
+/// The holdoff the next frame will wait: the deadline its first record arms.
+SimTime next_holdoff(am::FrameBuilder& fb, BufferPool& pool) {
+  constexpr SimTime kNow = 1'000'000;
+  fill(fb, 1, kNow, pool);
+  const SimTime h = fb.deadline() - kNow;
+  fb.abandon(pool);
+  return h;
+}
 
-  // Disabled batching skips knob validation entirely (the knobs are inert).
-  RuntimeConfig offcfg;
-  offcfg.batching.enabled = false;
-  offcfg.batching.max_msgs = 1;
-  EXPECT_FALSE(offcfg.validate().has_value());
+TEST(WireBatch, AdaptiveHoldoffFollowsTimerCloses) {
+  using Policy = am::BatchConfig;
+  constexpr std::uint32_t kFull = Policy::max_msgs / 2;    // >= doubles
+  constexpr std::uint32_t kSparse = Policy::max_msgs / 4;  // < halves
+  BufferPool pool;
+  am::FrameBuilder fb;
+
+  // The first record arms the deadline one initial holdoff (2 us) out.
+  fill(fb, 1, 5'000, pool);
+  EXPECT_EQ(fb.deadline(), 5'000 + Policy::holdoff_ns);
+  EXPECT_EQ(Policy::holdoff_ns, 2'000u);
+  fb.abandon(pool);
+
+  // Timer closes in the middle band leave it where it is, and so do fill,
+  // idle and barrier closes whatever the frame's occupancy (checked away
+  // from the clamp, where doubling or halving would both show).
+  for (const std::uint32_t n : {kSparse, kFull - 1}) {
+    fill(fb, n, 0, pool);
+    close_into(fb, am::FlushCause::kTimer, pool);
+    EXPECT_EQ(next_holdoff(fb, pool), Policy::holdoff_ns) << n;
+  }
+  for (const am::FlushCause cause : {am::FlushCause::kFill,
+                                     am::FlushCause::kIdle,
+                                     am::FlushCause::kBarrier}) {
+    for (const std::uint32_t n : {1u, kFull, Policy::max_msgs}) {
+      fill(fb, n, 0, pool);
+      close_into(fb, cause, pool);
+      EXPECT_EQ(next_holdoff(fb, pool), Policy::holdoff_ns) << n;
+    }
+  }
+
+  // Timer closes of at least half-full frames double it, up to the cap.
+  SimTime want = Policy::holdoff_ns;
+  for (int i = 0; i < 8; ++i) {
+    fill(fb, kFull, 0, pool);
+    close_into(fb, am::FlushCause::kTimer, pool);
+    want = std::min<SimTime>(want * 2, Policy::holdoff_max_ns);
+    EXPECT_EQ(next_holdoff(fb, pool), want) << "after doubling " << i;
+  }
+  EXPECT_EQ(want, Policy::holdoff_max_ns);
+  EXPECT_EQ(Policy::holdoff_max_ns, 100'000u);
+
+  // Timer closes of sparse frames halve it, down to the floor.
+  want = Policy::holdoff_max_ns;
+  for (int i = 0; i < 10; ++i) {
+    fill(fb, kSparse - 1, 0, pool);
+    close_into(fb, am::FlushCause::kTimer, pool);
+    want = std::max<SimTime>(want / 2, Policy::holdoff_min_ns);
+    EXPECT_EQ(next_holdoff(fb, pool), want) << "after halving " << i;
+  }
+  EXPECT_EQ(want, Policy::holdoff_min_ns);
+  EXPECT_EQ(Policy::holdoff_min_ns, 1'000u);
 }
 
 }  // namespace
