@@ -87,7 +87,7 @@ void Machine::emit_frame(WireAggregator& agg, FrameBuilder& fb, NodeId src,
           clients_[src] != nullptr ? clients_[src]->wire_probes() : nullptr) {
     probes->record(obs::Probe::kFrameFill, fb.count());
   }
-  wire_inject(fb.close(src, dst, cause));
+  send(fb.close(src, dst, cause));
 }
 
 void Machine::batch_append(Packet p, SimTime now) {

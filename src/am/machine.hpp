@@ -213,8 +213,8 @@ class Machine {
   // fault plane above. Enabled, eligible small sends accumulate in
   // per-(source, destination) FrameBuilders and ship as single wire frames;
   // disabled (or on a 1-node machine) sends take the historical
-  // one-packet-per-message path. Machine implementations override to hook
-  // their flush-timer plumbing, then call the base.
+  // one-packet-per-message path. SimMachine overrides it with a no-op: the
+  // simulated CM-5 sends one packet per message (DESIGN.md §1).
   virtual void configure_batching(const BatchConfig& cfg);
   bool batching_active() const noexcept { return !wire_.empty(); }
 
@@ -263,10 +263,10 @@ class Machine {
   /// payloads whose record fits an empty frame qualify.
   bool batch_eligible(const Packet& p) const noexcept;
 
-  /// Append an eligible packet to src's frame toward dst. Emits (through
-  /// wire_inject) the previous frame first if the record would overflow it,
-  /// and the new frame immediately if the append filled it. `now` is the
-  /// source node's clock, arming the holdoff deadline.
+  /// Append an eligible packet to src's frame toward dst. Emits the
+  /// previous frame first if the record would overflow it, and the new
+  /// frame immediately if the append filled it. `now` is the source node's
+  /// clock, arming the holdoff deadline.
   void batch_append(Packet p, SimTime now);
 
   /// FIFO barrier: flush the open frame toward dst before an unbatchable
@@ -284,11 +284,6 @@ class Machine {
   /// Earliest holdoff deadline over src's open frames; 0 = none.
   SimTime frame_deadline(NodeId src) const noexcept;
 
-  /// Put a closed frame on the wire. The default routes through send()
-  /// (frames are never batch_eligible, so this cannot recurse); SimMachine
-  /// overrides to charge only the amortized injection cost.
-  virtual void wire_inject(Packet frame) { send(std::move(frame)); }
-
   /// Run one physical arrival on `node`'s execution stream: packets carrying
   /// link state (sequence number or ack) go through the node's LinkEndpoint
   /// (dedupe, reorder, ack — only in-order data reaches the client via
@@ -303,7 +298,8 @@ class Machine {
 
  private:
   /// Close fb (held by src toward dst), account the flush, record the
-  /// frame-fill probe, and ship the frame.
+  /// frame-fill probe, and ship the frame through send() (frames are never
+  /// batch_eligible, so this cannot recurse).
   void emit_frame(WireAggregator& agg, FrameBuilder& fb, NodeId src,
                   NodeId dst, FlushCause cause);
 

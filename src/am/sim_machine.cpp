@@ -14,19 +14,12 @@ SimMachine::SimMachine(NodeId nodes, CostModel costs)
       resume_pending_(nodes, false),
       idle_notified_(nodes, false),
       link_timer_pending_(nodes, false),
-      frame_timer_pending_(nodes, false),
       service_pending_(nodes, false) {}
 
 void SimMachine::configure_faults(const FaultConfig& cfg) {
   HAL_ASSERT(!running_);
   Machine::configure_faults(cfg);
   std::fill(link_timer_pending_.begin(), link_timer_pending_.end(), false);
-}
-
-void SimMachine::configure_batching(const BatchConfig& cfg) {
-  HAL_ASSERT(!running_);
-  Machine::configure_batching(cfg);
-  std::fill(frame_timer_pending_.begin(), frame_timer_pending_.end(), false);
 }
 
 SimTime SimMachine::default_rto() const noexcept {
@@ -58,22 +51,6 @@ SimTime SimMachine::current_time(NodeId node) const {
 void SimMachine::send(Packet p) {
   check_packet(p);
   const auto& c = costs();
-  if (batch_eligible(p)) {
-    // Coalesced path: the record pays its per-word/per-byte marshalling
-    // now; the fixed injection overhead is deferred to the frame and paid
-    // once in wire_inject — the amortization the batching layer models.
-    charge(p.src,
-           c.per_word_ns * static_cast<SimTime>(kPacketWords) +
-               c.payload_byte_ns * static_cast<SimTime>(p.payload.size()));
-    p.stamp = current_time(p.src);
-    const NodeId src = p.src;
-    batch_append(std::move(p), current_time(src));
-    schedule_frame_timer(src);
-    return;
-  }
-  // Unbatchable traffic on a channel with an open frame must flush it
-  // first, or the frame's records would be reordered behind this packet.
-  if (batching_active() && p.src != p.dst) batch_barrier(p.src, p.dst);
   // Sender pays injection: fixed overhead + per-word + per-payload-byte.
   charge(p.src, c.packet_inject_ns +
                     c.per_word_ns * static_cast<SimTime>(kPacketWords) +
@@ -121,30 +98,6 @@ void SimMachine::schedule_link_timer(NodeId node) {
   push_event(Event{deadline, 0, EventKind::kLinkTimer, node, {}});
 }
 
-void SimMachine::wire_inject(Packet f) {
-  // The once-per-frame share of the send cost; every record already paid
-  // its marshalling in send().
-  charge(f.src, costs().packet_inject_ns);
-  f.stamp = current_time(f.src);
-  if (links_active() && f.src != f.dst) {
-    const NodeId src = f.src;
-    link(src).send_data(std::move(f), current_time(src), *this);
-    schedule_link_timer(src);
-    return;
-  }
-  const SimTime arrival = f.stamp + costs().wire_latency_ns;
-  const NodeId dst = f.dst;
-  push_event(Event{arrival, 0, EventKind::kDelivery, dst, std::move(f)});
-}
-
-void SimMachine::schedule_frame_timer(NodeId node) {
-  if (frame_timer_pending_[node]) return;
-  const SimTime deadline = frame_deadline(node);
-  if (deadline == 0) return;
-  frame_timer_pending_[node] = true;
-  push_event(Event{deadline, 0, EventKind::kFrameTimer, node, {}});
-}
-
 void SimMachine::schedule_service(NodeId node) {
   if (service_pending_[node]) return;
   const SimTime deadline = client(node).service_deadline();
@@ -164,18 +117,6 @@ void SimMachine::charge(NodeId node, SimTime ns) {
   } else {
     clock_[node] += ns;
   }
-  autoflush(node);
-}
-
-void SimMachine::autoflush(NodeId node) {
-  // Guard against re-entry: wire_inject below charges the frame's injection
-  // overhead, which lands back here.
-  if (autoflushing_ || !batching_active()) return;
-  const SimTime due = frame_deadline(node);
-  if (due == 0 || due > current_time(node)) return;
-  autoflushing_ = true;
-  flush_due_frames(node, current_time(node));
-  autoflushing_ = false;
 }
 
 SimTime SimMachine::now(NodeId node) const {
@@ -204,9 +145,6 @@ void SimMachine::settle(NodeId node) {
     schedule_resume(node);
     return;
   }
-  // Busy -> idle: ship any held frames before the node goes quiet, so a
-  // receiver never waits out a holdoff that outlived the sender's burst.
-  flush_frames(node, FlushCause::kIdle);
   if (!idle_notified_[node]) {
     idle_notified_[node] = true;
     c.on_idle();
@@ -217,9 +155,6 @@ void SimMachine::settle(NodeId node) {
       schedule_resume(node);
       return;
     }
-    // on_idle's own sends (a steal poll, say) must not sit in a frame on an
-    // idle node either.
-    flush_frames(node, FlushCause::kIdle);
   }
   // An idle client may still want servicing later (service_deadline), e.g.
   // the balancer's backed-off repoll; arm the wake-up event.
@@ -297,22 +232,6 @@ void SimMachine::run() {
           schedule_link_timer(n);
         }
         break;
-      case EventKind::kFrameTimer: {
-        // Holdoff expiry: flush due frames, then re-arm for any still open.
-        // Like the link timer, a pending frame timer keeps the queue
-        // non-empty, so quiescence cannot be declared over a held frame.
-        // A stale timer (its frame already flushed at an idle transition)
-        // must not drag the clock forward, or tiny workloads would report
-        // holdoff-length makespans.
-        frame_timer_pending_[n] = false;
-        const SimTime due = frame_deadline(n);
-        if (due != 0 && due <= e.time) {
-          clock_[n] = std::max(clock_[n], e.time);
-          flush_due_frames(n, current_time(n));
-        }
-        schedule_frame_timer(n);
-        break;
-      }
       case EventKind::kService: {
         // The client asked for its on_idle to re-run at this time (e.g. a
         // backed-off balancer repoll). Clearing the idle notification lets

@@ -37,7 +37,11 @@ class SimMachine final : public Machine, private LinkSink {
   SimTime now(NodeId node) const override;
   void run() override;
   void configure_faults(const FaultConfig& cfg) override;
-  void configure_batching(const BatchConfig& cfg) override;
+  /// No-op: the simulator never batches, whatever the config says. CMAM
+  /// injects one packet per send (DESIGN.md §1), and the CM-5 cost model
+  /// charges exactly that; frames would amortize a cost the paper's machine
+  /// never saved. Wire batching is the wall-clock executor's lever.
+  void configure_batching(const BatchConfig& /*cfg*/) override {}
 
   /// Makespan: maximum virtual clock over all nodes. This is the number the
   /// benchmark tables report as "execution time".
@@ -57,8 +61,7 @@ class SimMachine final : public Machine, private LinkSink {
     kDelivery,
     kResume,
     kLinkTimer,
-    kFrameTimer,  // wire-batching holdoff expiry (coalesced per node)
-    kService,     // client-requested on_idle re-run (service_deadline)
+    kService,  // client-requested on_idle re-run (service_deadline)
   };
 
   struct Event {
@@ -96,24 +99,9 @@ class SimMachine final : public Machine, private LinkSink {
   /// A few virtual round trips on the configured cost model.
   SimTime default_rto() const noexcept override;
 
-  /// Route a closed frame to the wire, charging only the once-per-frame
-  /// injection overhead (records paid per-word/per-byte at append).
-  void wire_inject(Packet frame) override;
-  /// Arm `node`'s holdoff-flush event at its earliest frame deadline
-  /// (coalesced like the link timer). Held frames always have a pending
-  /// timer event, so quiescence cannot be declared over a held frame.
-  void schedule_frame_timer(NodeId node);
   /// Arm a client-requested on_idle re-run (NodeClient::service_deadline),
   /// e.g. the load balancer's backed-off repoll on an otherwise idle node.
   void schedule_service(NodeId node);
-  /// The NI-as-hardware half of the holdoff timer: when `node`'s advancing
-  /// clock passes an open frame's deadline *inside* a method or handler,
-  /// ship the frame at that point instead of holding it until the code
-  /// yields. Without this, a send followed by a long compute burst in the
-  /// same dispatch would serialize the receiver behind the sender's local
-  /// work — the overlap the holdoff bounds (and that the unbatched path
-  /// gets for free) would be lost.
-  void autoflush(NodeId node);
 
   std::priority_queue<Event, std::vector<Event>, EventOrder> queue_;
   std::vector<SimTime> clock_;         // method/compute stream
@@ -121,14 +109,12 @@ class SimMachine final : public Machine, private LinkSink {
   std::vector<bool> resume_pending_;
   std::vector<bool> idle_notified_;
   std::vector<bool> link_timer_pending_;
-  std::vector<bool> frame_timer_pending_;
   std::vector<bool> service_pending_;
   // Transient handler-execution context (one handler at a time globally —
   // the event loop is sequential).
   bool in_handler_ = false;
   NodeId handler_node_ = kInvalidNode;
   SimTime handler_time_ = 0;
-  bool autoflushing_ = false;  // wire_inject charges re-enter charge()
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_done_ = 0;
   std::uint64_t event_limit_ = 0;  // 0 = unlimited

@@ -24,9 +24,9 @@
 //
 // Flush policy (docs/perf.md):
 //   fill    — the frame reached max_msgs records or max_frame_bytes
-//   timer   — the per-destination holdoff deadline expired (machines ride
-//             their existing timer plumbing: Sim schedules a coalesced
-//             kFrameTimer event, Thread/Mn poll deadlines per quantum)
+//   timer   — the per-destination holdoff deadline expired (MnMachine
+//             polls deadlines once per node quantum; SimMachine never
+//             batches, so it has no holdoff timer)
 //   idle    — the source node transitioned busy → idle (termination
 //             detection must never see a held frame)
 //   barrier — an unbatchable packet needed the channel, or shutdown drain
@@ -36,8 +36,6 @@
 // timer flush of a frame at least half full doubles it (the burst needed a
 // little longer to reach fill), one under a quarter full halves it
 // (latency-bound traffic), clamped to [holdoff_min_ns, holdoff_max_ns].
-// All decisions depend only on the deterministic flush sequence, so
-// SimMachine reports stay byte-identical.
 //
 // Ownership: frame buffers come from the *sending* node's BufferPool
 // (borrowed from NodeClient::link_pool, private fallback otherwise) and
@@ -75,7 +73,8 @@ struct BatchConfig {
   /// Master switch. Batching is on by default: coalescing is semantically
   /// invisible (per-channel order and exactly-once delivery preserved) and
   /// strictly cheaper on the wire. Disabled, sends take the historical
-  /// one-packet-per-message path.
+  /// one-packet-per-message path. SimMachine ignores the switch: it always
+  /// sends one packet per message, as the CM-5's CMAM did.
   bool enabled = true;
   /// Frame payload cap. Bounded by kBulkChunkBytes (the machine's hard
   /// per-packet cap); the value fills the pool's 4 KiB size class — a
@@ -87,10 +86,10 @@ struct BatchConfig {
   /// a decoded frame executes as one burst.
   static constexpr std::uint32_t max_msgs = 64;
   /// Initial per-destination holdoff: how long the first record of a frame
-  /// may wait for company before a timer flush (virtual ns under Sim, wall
-  /// ns under Mn). Kept small: bursty channels double their way up
-  /// adaptively, while pipelined dependency chains (one small message per
-  /// hop, sender still busy) only ever pay this much extra latency.
+  /// may wait for company before a timer flush (wall ns). Kept small:
+  /// bursty channels double their way up adaptively, while pipelined
+  /// dependency chains (one small message per hop, sender still busy) only
+  /// ever pay this much extra latency.
   static constexpr SimTime holdoff_ns = 2'000;
   /// Adaptive holdoff clamp range.
   static constexpr SimTime holdoff_min_ns = 1'000;

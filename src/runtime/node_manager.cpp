@@ -218,16 +218,23 @@ void NodeManager::on_fir_response(const am::Packet& p) {
   const NodeId node = static_cast<NodeId>(p.words[2]);
   const SlotId rdesc = SlotId::unpack(p.words[3]);
   const auto epoch = static_cast<std::uint32_t>(p.words[4]);
-  if (auto it = fir_sent_at_.find(addr); it != fir_sent_at_.end()) {
-    // Responses also reach nodes that never asked (parked-sender teaching,
-    // migrate acks routed here) — only a node with an anchored FIR samples.
+  // words[5] != 0 marks a teach (location_learned): location news for a
+  // node whose message was parked elsewhere, not the answer to a FIR of its
+  // own. It must leave an outstanding chase alone. Clearing the flag let
+  // the next message parked here start a second chase along the same stale
+  // pointer; between a migration's source and its destination the chases
+  // then bounced back and forth until the actor landed.
+  const bool taught = p.words[5] != 0;
+  if (auto it = fir_sent_at_.find(addr);
+      !taught && it != fir_sent_at_.end()) {
+    // Only the answer to this node's own anchored FIR closes its round trip.
     k_.probes().record_span(obs::Probe::kFirRoundTrip, it->second,
                             k_.machine().now(k_.self()));
     fir_sent_at_.erase(it);
   }
   k_.stats().bump(Stat::kFirResolved);
   k_.trace_mark(trace::EventKind::kFirResolved, node);
-  location_learned(addr, node, rdesc, epoch, /*clear_fir=*/true,
+  location_learned(addr, node, rdesc, epoch, /*clear_fir=*/!taught,
                    /*propagate=*/true);
 }
 
@@ -277,7 +284,7 @@ void NodeManager::location_learned(const MailAddress& addr, NodeId node,
         p.dst = pm.origin;
         p.handler = kHFirResponse;
         p.words = {addr.pack_word0(), addr.pack_word1(), node, rdesc.pack(),
-                   epoch, 0};
+                   epoch, /*taught=*/1};
         k_.machine().send(std::move(p));
       }
     }

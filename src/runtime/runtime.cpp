@@ -34,8 +34,8 @@ Runtime::Runtime(RuntimeConfig config) : config_(config) {
   if (faults.seed == 0) faults.seed = config_.seed;
   machine_->configure_faults(faults);
   // After the kernels attach for the same reason: each aggregator's frame
-  // buffers come from its node's payload pool. Single-node machines stay
-  // unbatched (configure_batching is inert there).
+  // buffers come from its node's payload pool. Single-node machines and
+  // SimMachine stay unbatched (configure_batching is inert there).
   machine_->configure_batching(config_.batching);
 }
 

@@ -564,8 +564,9 @@ TEST_P(FaultRuntimeTest, BurstsStayExactUnderLossAndDuplication) {
   rt.load<Burst>();
   const MailAddress counter = rt.spawn<Counter>(0);
   // Large enough that the wire still carries plenty of physical packets
-  // with batching coalescing ~32 sends per frame (the seeded 5% injector
-  // must certainly fire below).
+  // where batching coalesces ~32 sends per frame (the wall-clock executor;
+  // Sim sends one packet per message), so the seeded 5% injector certainly
+  // fires below.
   for (NodeId n = 1; n < 4; ++n) {
     rt.inject<&Burst::on_fire>(rt.spawn<Burst>(n), counter, std::int64_t{500});
   }

@@ -1,9 +1,10 @@
-// Wire-batching semantics (PR 8 tentpole): destination-coalesced frames
-// must be invisible to everything above the wire. Determinism (same-seed Sim
-// runs stay byte-identical, batched results equal unbatched results),
-// reliability (frames ride the link whole: exactly-once, in-order under
-// loss), liveness (held frames force-flush at quiescence instead of waiting
-// out the holdoff), and the adaptive holdoff rules of the fixed policy.
+// Wire-batching semantics: destination-coalesced frames must be invisible
+// to everything above the wire. The simulator never batches (same-seed Sim
+// runs stay byte-identical and put no frame on the wire); on the wall-clock
+// executor batched results equal unbatched results, frames ride the link
+// whole (exactly-once, in-order under loss), held frames force-flush at the
+// busy->idle transition instead of waiting out the holdoff, and the
+// adaptive holdoff follows the rules of the fixed policy.
 //
 // Suite names contain "Fault" where the CI sanitizer jobs should pick them
 // up (-R 'Stress|ThreadMachine|MnMachine|Bulk|Fault'). "ThreadMachine" in a
@@ -16,7 +17,6 @@
 #include <vector>
 
 #include "am/mn_machine.hpp"
-#include "am/sim_machine.hpp"
 #include "am/wire_batch.hpp"
 #include "runtime/api.hpp"
 
@@ -91,33 +91,36 @@ std::uint64_t flood_expect(NodeId nodes, std::uint64_t per_sender) {
 }
 
 TEST(WireBatchFault, SimSameSeedReportsAreByteIdentical) {
-  RuntimeConfig cfg;  // batching on by default, seeded Sim
+  RuntimeConfig cfg;  // seeded Sim; batching on in the config
   const StormResult a = run_flood(cfg);
   const StormResult b = run_flood(cfg);
   EXPECT_EQ(a.sum, flood_expect(4, 600));
   EXPECT_EQ(a.dead, 0u);
-  // Coalescing actually happened, and the whole structured report — stats,
-  // probes, the frame-fill histogram — replays byte-for-byte.
-  EXPECT_GT(a.report.total.get(Stat::kWireFramesSent), 0u);
-  EXPECT_GT(a.report.total.get(Stat::kWireMsgsCoalesced), 0u);
+  // The simulator ignores the batching switch and sends one packet per
+  // message, as CMAM did; the whole structured report replays
+  // byte-for-byte.
+  EXPECT_EQ(a.report.total.get(Stat::kWireFramesSent), 0u);
+  EXPECT_EQ(a.report.total.get(Stat::kWireMsgsCoalesced), 0u);
   EXPECT_EQ(a.report.to_json(), b.report.to_json());
 }
 
-TEST(WireBatchFault, SimBatchedMatchesUnbatchedResults) {
+TEST(WireBatchFault, ThreadMachineBatchedMatchesUnbatchedResults) {
   RuntimeConfig on;
-  RuntimeConfig off;
+  on.machine = MachineKind::kThread;
+  RuntimeConfig off = on;
   off.batching.enabled = false;
   const StormResult rb = run_flood(on);
   const StormResult ru = run_flood(off);
   EXPECT_EQ(rb.sum, flood_expect(4, 600));
-  EXPECT_EQ(rb.sum, ru.sum);
+  EXPECT_EQ(ru.sum, flood_expect(4, 600));
   EXPECT_EQ(rb.dead, 0u);
   EXPECT_EQ(ru.dead, 0u);
-  EXPECT_EQ(ru.report.total.get(Stat::kWireFramesSent), 0u);
-  // Every message arrived either way; the batched run moved (almost) all of
-  // them inside frames.
+  // Every message arrived either way, and only the batched run put frames
+  // on the wire.
   EXPECT_EQ(rb.report.total.get(Stat::kMessagesDelivered),
             ru.report.total.get(Stat::kMessagesDelivered));
+  EXPECT_GT(rb.report.total.get(Stat::kWireFramesSent), 0u);
+  EXPECT_EQ(ru.report.total.get(Stat::kWireFramesSent), 0u);
 }
 
 // --- Machine-level: frames on the faulty wire -----------------------------------
@@ -147,30 +150,6 @@ void expect_exactly_once_in_order(const RecordingClient& c,
   }
 }
 
-TEST(WireBatchFault, SimCoalescedFramesExactlyOnceInOrderUnderLoss) {
-  am::SimMachine machine(2, am::CostModel::cm5());
-  RecordingClient clients[2];
-  machine.attach(0, &clients[0]);
-  machine.attach(1, &clients[1]);
-  machine.configure_batching(am::BatchConfig{});
-  am::FaultConfig fc;
-  fc.enabled = true;
-  fc.drop = 0.05;  // the ISSUE's 5%-loss reliability bar
-  fc.seed = 0xbadc;
-  machine.configure_faults(fc);
-  constexpr std::uint64_t kCount = 800;
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    machine.send(tagged(0, 1, i));
-  }
-  machine.run();
-  // Frames were lost and retransmitted whole; the decoded record stream is
-  // still exactly the sent stream, in per-channel order.
-  expect_exactly_once_in_order(clients[1], kCount);
-  const am::LinkStats& s = *machine.link_stats(0);
-  EXPECT_GT(s.drops_injected, 0u);
-  EXPECT_GE(s.retransmits, s.drops_injected);
-}
-
 TEST(WireBatchFault, ThreadMachineCoalescedFramesSurviveLoss) {
   am::MnMachine machine(2, am::CostModel::cm5(), /*workers=*/2u);
   RecordingClient clients[2];
@@ -194,9 +173,11 @@ TEST(WireBatchFault, ThreadMachineCoalescedFramesSurviveLoss) {
 // --- Forced flush at quiescence -------------------------------------------------
 
 /// Sends one eligible packet from its first step, then has no more work.
+/// Records how many frames its node had shipped when on_idle first ran.
 class OneShotClient : public RecordingClient {
  public:
-  OneShotClient(am::Machine& m, am::Packet p) : m_(m), p_(std::move(p)) {}
+  OneShotClient(am::Machine& m, am::Packet p)
+      : m_(m), node_(p.src), p_(std::move(p)) {}
   bool step() override {
     if (sent_) return false;
     sent_ = true;
@@ -204,50 +185,46 @@ class OneShotClient : public RecordingClient {
     return true;
   }
   bool has_work() const override { return !sent_; }
+  void on_idle() override {
+    if (sent_ && frames_at_idle < 0) {
+      frames_at_idle =
+          static_cast<std::int64_t>(m_.wire_stats(node_)->frames_sent);
+    }
+  }
+  std::int64_t frames_at_idle = -1;
 
  private:
   am::Machine& m_;
+  NodeId node_;
   am::Packet p_;
   bool sent_ = false;
 };
 
-/// Records the machine time each frame's records were delivered at.
-class FrameTimingClient : public RecordingClient {
- public:
-  void on_frame_begin(SimTime now, std::uint32_t) override {
-    frame_at.push_back(now);
-  }
-  std::vector<SimTime> frame_at;
-};
-
 TEST(WireBatchFault, IdleTransitionFlushKeepsTerminationPrompt) {
   // The sender's node goes idle right after one eligible send: the
-  // busy->idle flush must ship the held frame at once instead of leaving it
-  // to the holdoff timer.
-  am::SimMachine machine(2, am::CostModel::cm5());
-  OneShotClient sender(machine, tagged(0, 1, 7));
-  FrameTimingClient receiver;
-  machine.attach(0, &sender);
-  machine.attach(1, &receiver);
-  machine.configure_batching(am::BatchConfig{});
-  machine.run();
+  // busy->idle flush must ship the held frame at once, before the node's
+  // on_idle runs (a balancer poll, say), instead of leaving it to the
+  // holdoff timer. The holdoff is 2 us of wall time, and a slow send (the
+  // first frame buffer a cold process allocates, a sanitizer build) can
+  // outlast it, so the frame may close on the timer instead; either way it
+  // has left before on_idle. Fresh machines, repeated: once the process is
+  // warm a release-build send takes well under the holdoff, so a missing
+  // idle flush shows as a frame still held when on_idle runs.
+  for (int round = 0; round < 8; ++round) {
+    am::MnMachine machine(2, am::CostModel::cm5(), /*workers=*/1u);
+    OneShotClient sender(machine, tagged(0, 1, 7));
+    RecordingClient receiver;
+    machine.attach(0, &sender);
+    machine.attach(1, &receiver);
+    machine.configure_batching(am::BatchConfig{});
+    machine.run();
 
-  ASSERT_EQ(receiver.received.size(), 1u);
-  ASSERT_EQ(receiver.frame_at.size(), 1u);
-  const am::WireStats& ws = *machine.wire_stats(0);
-  EXPECT_EQ(ws.frames_sent, 1u);
-  EXPECT_EQ(ws.flush_idle, 1u);
-  EXPECT_EQ(ws.flush_timer, 0u);
-  // The record was stamped when sent; the frame paid its one injection and
-  // left at once, so it arrived one wire latency later (the receiver's
-  // handler entry is charged before decode). A timer flush would have added
-  // the whole holdoff.
-  const am::CostModel& c = machine.costs();
-  const SimTime sent = receiver.received[0].stamp;
-  const SimTime arrival = receiver.frame_at[0] - c.handler_entry_ns;
-  const SimTime left = sent + c.packet_inject_ns;
-  EXPECT_EQ(arrival, left + c.wire_latency_ns);
-  EXPECT_LT(arrival, left + am::BatchConfig::holdoff_ns + c.wire_latency_ns);
+    ASSERT_EQ(receiver.received.size(), 1u) << "round " << round;
+    const am::WireStats& ws = *machine.wire_stats(0);
+    EXPECT_EQ(ws.frames_sent, 1u) << "round " << round;
+    EXPECT_EQ(ws.flush_idle + ws.flush_timer, 1u) << "round " << round;
+    EXPECT_EQ(sender.frames_at_idle, 1) << "round " << round;
+  }
 }
 
 TEST(WireBatchFault, ThreadMachineIdleFlushTerminatesWithHugeHoldoff) {
