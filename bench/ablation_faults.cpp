@@ -1,4 +1,4 @@
-// Ablation F — messaging under an adversarial wire: throughput and tail
+// Ablation G — messaging under an adversarial wire: throughput and tail
 // latency vs injected loss rate.
 //
 // The paper's runtime assumes the CM-5 data network's exactly-once, in-order
@@ -128,7 +128,7 @@ void print_row(const char* workload, double loss, const obs::RunReport& r) {
 int main() {
   using namespace hal::apps;
   using namespace hal::bench;
-  header("Ablation F: throughput and tail latency vs injected loss",
+  header("Ablation G: throughput and tail latency vs injected loss",
          "fault plane + reliable link under the paper's workloads");
 
   const bool paper = paper_scale();

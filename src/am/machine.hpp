@@ -24,13 +24,8 @@
 #include "am/fault.hpp"
 #include "am/link.hpp"
 #include "am/packet.hpp"
-#include "am/wire_batch.hpp"
 #include "common/assert.hpp"
 #include "common/types.hpp"
-
-namespace hal::obs {
-class ProbeRecorder;
-}  // namespace hal::obs
 
 namespace hal::am {
 
@@ -43,13 +38,14 @@ class NodeClient {
   /// An active-message packet arrived; run its handler.
   virtual void handle(Packet p) = 0;
 
-  /// A coalesced frame is about to decode into `count` consecutive handle()
-  /// calls that all left the wire in one physical arrival at machine time
-  /// `now`. Clients may cache `now` as the delivery timestamp for the whole
-  /// burst instead of re-reading the machine clock per record — on the
-  /// wall-clock machines a clock read costs a third of the delivery path,
-  /// and one frame genuinely has one arrival time. Paired with
-  /// on_frame_end() after the last record of the frame.
+  /// A coalesced frame (MnMachine's wire batching) is about to decode into
+  /// `count` consecutive handle() calls that all left the wire in one
+  /// physical arrival at machine time `now`. Clients may cache `now` as the
+  /// delivery timestamp for the whole burst instead of re-reading the
+  /// machine clock per record — on the wall-clock machine a clock read
+  /// costs a third of the delivery path, and one frame genuinely has one
+  /// arrival time. Each frame decodes exactly once, so `count` is also the
+  /// frame's fill. Paired with on_frame_end() after the last record.
   virtual void on_frame_begin(SimTime /*now*/, std::uint32_t /*count*/) {}
   virtual void on_frame_end() {}
 
@@ -69,15 +65,9 @@ class NodeClient {
   /// and releases dropped/duplicate payloads into. The kernel returns its
   /// per-node pool so the buffer ledger stays conservative under faults;
   /// nullptr (the default) gives the endpoint a private fallback pool so
-  /// bare machine-level test clients keep working. The wire-batching
-  /// aggregator borrows the same pool for its frame buffers.
+  /// bare machine-level test clients keep working. MnMachine's wire-
+  /// batching aggregator borrows the same pool for its frame buffers.
   virtual BufferPool* link_pool() noexcept { return nullptr; }
-
-  /// Probe recorder for wire-layer observability (the frame-fill histogram
-  /// recorded when a frame closes on this node's stream). The kernel
-  /// returns its per-node recorder; nullptr (the default) skips recording
-  /// for bare machine-level clients.
-  virtual obs::ProbeRecorder* wire_probes() noexcept { return nullptr; }
 
   /// Earliest future time (machine clock) at which this client wants its
   /// on_idle re-run even though nothing arrived — 0 = never. Machines fold
@@ -208,29 +198,6 @@ class Machine {
   /// the report's in-flight count).
   void for_each_link_payload(const std::function<void(const Bytes&)>& fn) const;
 
-  // --- Wire batching (destination-coalesced frames) ------------------------
-  // Configured once, after clients are attached and before run(), like the
-  // fault plane above. Enabled, eligible small sends accumulate in
-  // per-(source, destination) FrameBuilders and ship as single wire frames;
-  // disabled (or on a 1-node machine) sends take the historical
-  // one-packet-per-message path. SimMachine overrides it with a no-op: the
-  // simulated CM-5 sends one packet per message (DESIGN.md §1).
-  virtual void configure_batching(const BatchConfig& cfg);
-  bool batching_active() const noexcept { return !wire_.empty(); }
-
-  /// Aggregation counters for one node; nullptr when batching is off.
-  const WireStats* wire_stats(NodeId node) const noexcept {
-    return wire_.empty() ? nullptr : &wire_[node]->stats();
-  }
-
-  /// Release every still-open frame buffer back to the owning pools
-  /// without shipping it. Called at shutdown drain, after run() returned.
-  void drain_wire();
-
-  /// Buffer-audit walk over open frame buffers (the aggregation layer's
-  /// share of the report's in-flight count).
-  void for_each_wire_payload(const std::function<void(const Bytes&)>& fn) const;
-
  protected:
   NodeClient& client(NodeId node) const {
     HAL_ASSERT(node < node_count() && clients_[node] != nullptr);
@@ -258,51 +225,14 @@ class Machine {
   /// is 0 (Sim: a few virtual round trips; Mn: ~2 ms wall).
   virtual SimTime default_rto() const noexcept { return 2'000'000; }
 
-  // --- Batching internals (shared by both machines' send paths) ------------
-  /// Can `p` ride a frame? Small non-bulk, non-loopback, non-link-control
-  /// payloads whose record fits an empty frame qualify.
-  bool batch_eligible(const Packet& p) const noexcept;
-
-  /// Append an eligible packet to src's frame toward dst. Emits the
-  /// previous frame first if the record would overflow it, and the new
-  /// frame immediately if the append filled it. `now` is the source node's
-  /// clock, arming the holdoff deadline.
-  void batch_append(Packet p, SimTime now);
-
-  /// FIFO barrier: flush the open frame toward dst before an unbatchable
-  /// packet uses the same channel (bulk chunks, oversized payloads) so
-  /// per-channel order holds across the batched/unbatched boundary.
-  /// Returns the number of frames emitted (0 or 1).
-  std::size_t batch_barrier(NodeId src, NodeId dst);
-
-  /// Flush every open frame held by src (idle transition, shutdown).
-  std::size_t flush_frames(NodeId src, FlushCause cause);
-
-  /// Flush src's frames whose holdoff deadline has expired.
-  std::size_t flush_due_frames(NodeId src, SimTime now);
-
-  /// Earliest holdoff deadline over src's open frames; 0 = none.
-  SimTime frame_deadline(NodeId src) const noexcept;
-
   /// Run one physical arrival on `node`'s execution stream: packets carrying
   /// link state (sequence number or ack) go through the node's LinkEndpoint
   /// (dedupe, reorder, ack — only in-order data reaches the client via
-  /// sink.link_deliver); everything else goes to deliver_to_client.
+  /// sink.link_deliver); every other packet goes to sink.link_deliver
+  /// directly.
   void arrive(NodeId node, Packet p, LinkSink& sink);
 
-  /// Hand a packet to the client: plain packets go straight through, frames
-  /// decode into one handler call per record (one wake, one mailbox drain,
-  /// many messages) with record payloads drawn from — and the frame buffer
-  /// retired into — the receiving node's pool.
-  void deliver_to_client(NodeId node, Packet p);
-
  private:
-  /// Close fb (held by src toward dst), account the flush, record the
-  /// frame-fill probe, and ship the frame through send() (frames are never
-  /// batch_eligible, so this cannot recurse).
-  void emit_frame(WireAggregator& agg, FrameBuilder& fb, NodeId src,
-                  NodeId dst, FlushCause cause);
-
   std::vector<NodeClient*> clients_;
   CostModel costs_;
   std::atomic<bool> stop_{false};
@@ -310,7 +240,6 @@ class Machine {
   std::atomic<std::int64_t> work_hint_{0};
   std::vector<std::unique_ptr<LinkEndpoint>> links_;
   FaultConfig faults_{};
-  std::vector<std::unique_ptr<WireAggregator>> wire_;
 };
 
 }  // namespace hal::am

@@ -95,9 +95,132 @@ void MnMachine::link_transmit(Packet p,
 }
 
 void MnMachine::link_deliver(Packet p) {
-  // Frames decode into a burst of records here; plain packets pass through.
+  const NodeId node = p.dst;
+  NodeClient& c = client(node);
+  if (!p.frame) {
+    c.handle(std::move(p));
+    return;
+  }
+  // Frames only exist while the aggregation layer is configured; decode on
+  // the receiving node's stream, one handler call per record (one wake, one
+  // mailbox drain, many messages), and retire the frame buffer into the
+  // receiving node's pool (the same cross-node recycling loop packet
+  // payloads use).
+  HAL_ASSERT(!wire_.empty());
+  BufferPool& pool = wire_[node]->pool();
+  FrameReader reader(p);
+  // One clock read for the whole burst: every record in the frame arrived
+  // in the same physical packet, so they share a delivery timestamp.
+  c.on_frame_begin(now(node), reader.expected());
+  Packet record;
+  while (reader.next(record, pool)) c.handle(std::move(record));
+  c.on_frame_end();
+  pool.release(std::move(p.payload));
+}
+
+// --- Wire batching -----------------------------------------------------------
+
+void MnMachine::configure_batching(const BatchConfig& cfg) {
+  wire_.clear();
+  // A single node has no remote channel to coalesce (loopback never
+  // batches), so leave the layer inert rather than instantiating it.
+  if (!cfg.enabled || node_count() < 2) return;
+  wire_.reserve(node_count());
+  for (NodeId n = 0; n < node_count(); ++n) {
+    wire_.push_back(std::make_unique<WireAggregator>(client(n).link_pool()));
+  }
+}
+
+bool MnMachine::batch_eligible(const Packet& p) const noexcept {
+  if (wire_.empty()) return false;
+  // Frames and link-control traffic are the layer's own output; loopback
+  // bypasses the wire entirely; bulk chunks and oversized payloads must
+  // keep the direct path (their records would not fit a frame).
+  if (p.frame || p.link_ack || p.link_seq != 0) return false;
+  // Latency-critical control packets keep the direct path (see Packet).
+  if (p.urgent) return false;
+  if (p.src == p.dst) return false;
+  if (p.payload.size() > kMaxInlinePayload) return false;
+  return frame_record_size(p) <= BatchConfig::max_frame_bytes;
+}
+
+void MnMachine::emit_frame(WireAggregator& agg, FrameBuilder& fb, NodeId src,
+                           NodeId dst, FlushCause cause) {
+  WireStats& ws = agg.stats();
+  switch (cause) {
+    case FlushCause::kFill:
+      ++ws.flush_fill;
+      break;
+    case FlushCause::kTimer:
+      ++ws.flush_timer;
+      break;
+    case FlushCause::kIdle:
+      ++ws.flush_idle;
+      break;
+    case FlushCause::kBarrier:
+      ++ws.flush_barrier;
+      break;
+  }
+  ++ws.frames_sent;
+  send(fb.close(src, dst, cause));
+}
+
+void MnMachine::batch_append(Packet p, SimTime now) {
+  HAL_DASSERT(batch_eligible(p));
+  WireAggregator& agg = *wire_[p.src];
+  const NodeId src = p.src;
   const NodeId dst = p.dst;
-  deliver_to_client(dst, std::move(p));
+  FrameBuilder& fb = agg.builder(dst);
+  if (fb.open() && !fb.fits(p)) {
+    emit_frame(agg, fb, src, dst, FlushCause::kFill);
+  }
+  ++agg.stats().msgs_coalesced;
+  fb.add(std::move(p), now, agg.pool());
+  if (fb.count() >= BatchConfig::max_msgs) {
+    emit_frame(agg, fb, src, dst, FlushCause::kFill);
+  }
+}
+
+void MnMachine::batch_barrier(NodeId src, NodeId dst) {
+  WireAggregator& agg = *wire_[src];
+  FrameBuilder* fb = agg.find(dst);
+  if (fb != nullptr && fb->open()) {
+    emit_frame(agg, *fb, src, dst, FlushCause::kBarrier);
+  }
+}
+
+void MnMachine::flush_frames(NodeId src, FlushCause cause) {
+  WireAggregator& agg = *wire_[src];
+  for (auto& [dst, fb] : agg.frames()) {
+    if (fb.open()) emit_frame(agg, fb, src, dst, cause);
+  }
+}
+
+void MnMachine::flush_due_frames(NodeId src, SimTime now) {
+  WireAggregator& agg = *wire_[src];
+  for (auto& [dst, fb] : agg.frames()) {
+    if (fb.open() && fb.deadline() <= now) {
+      emit_frame(agg, fb, src, dst, FlushCause::kTimer);
+    }
+  }
+}
+
+void MnMachine::drain_wire() {
+  for (NodeId n = 0; n < static_cast<NodeId>(wire_.size()); ++n) {
+    // Same affinity adoption as drain_links: the node streams are gone at
+    // shutdown drain, and pool releases assert execution affinity.
+    check::ScopedExecutionNode scope(n);
+    for (auto& [dst, fb] : wire_[n]->frames()) fb.abandon(wire_[n]->pool());
+  }
+}
+
+void MnMachine::for_each_wire_payload(
+    const std::function<void(const Bytes&)>& fn) const {
+  for (const auto& agg : wire_) {
+    for (const auto& [dst, fb] : agg->frames()) {
+      if (fb.open()) fn(fb.pending_payload());
+    }
+  }
 }
 
 void MnMachine::post_and_schedule(Packet p) {
@@ -285,7 +408,7 @@ void MnMachine::run_node(NodeSlot& s) {
     // outlives its deadline by more than one quantum of its runnable node.
     // Gated on an open frame existing: a busy receiver with nothing batched
     // must not pay a clock read per quantum.
-    if (batching_active() && frame_deadline(n) != 0) {
+    if (batching_active() && wire_[n]->earliest_deadline() != 0) {
       flush_due_frames(n, now(n));
     }
     // A due service deadline re-arms on_idle: the client asked to be

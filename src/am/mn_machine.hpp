@@ -40,6 +40,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,6 +50,7 @@
 #include "am/machine.hpp"
 #include "am/park_handshake.hpp"
 #include "am/run_token.hpp"
+#include "am/wire_batch.hpp"
 #include "common/fast_clock.hpp"
 #include "common/lint_markers.hpp"
 #include "common/mpsc_queue.hpp"
@@ -81,6 +83,28 @@ class MnMachine final : public Machine, private LinkSink {
   /// Delay injection is Sim-only (real queues already reorder, and a wall
   /// clock sleep would only slow the soak): the knob is scrubbed here.
   void configure_faults(const FaultConfig& cfg) override;
+
+  // --- Wire batching (destination-coalesced frames, am/wire_batch.hpp) -----
+  // Configured once, after clients are attached and before run(), like the
+  // fault plane. Enabled, eligible small sends accumulate in
+  // per-(source, destination) FrameBuilders and ship as single wire frames;
+  // disabled (or on a 1-node machine) sends take the one-packet-per-message
+  // path. SimMachine has no counterpart: the simulated CM-5 sends one packet
+  // per message (DESIGN.md §1).
+  void configure_batching(const BatchConfig& cfg);
+
+  /// Aggregation counters for one node; nullptr when batching is off.
+  const WireStats* wire_stats(NodeId node) const noexcept {
+    return wire_.empty() ? nullptr : &wire_[node]->stats();
+  }
+
+  /// Release every still-open frame buffer back to the owning pools
+  /// without shipping it. Called at shutdown drain, after run() returned.
+  void drain_wire();
+
+  /// Buffer-audit walk over open frame buffers (the aggregation layer's
+  /// share of the report's in-flight count).
+  void for_each_wire_payload(const std::function<void(const Bytes&)>& fn) const;
 
   /// Epoch counters (stress tests, stats). These count packets *and* run
   /// tokens — see the termination note above.
@@ -185,7 +209,34 @@ class MnMachine final : public Machine, private LinkSink {
   /// quantum does the due work and refreshes its entry.
   void schedule_due(DeadlineTable& table);
 
-  // LinkSink (fault plane).
+  // --- Batching internals (the send path and the node quantum) -----------
+  bool batching_active() const noexcept { return !wire_.empty(); }
+  /// Can `p` ride a frame? Small non-bulk, non-loopback, non-link-control,
+  /// non-urgent payloads whose record fits an empty frame qualify.
+  bool batch_eligible(const Packet& p) const noexcept;
+  /// Append an eligible packet to src's frame toward dst. Emits the
+  /// previous frame first if the record would overflow it, and the new
+  /// frame immediately if the append filled it. `now` is the source node's
+  /// clock, arming the holdoff deadline.
+  void batch_append(Packet p, SimTime now);
+  /// FIFO barrier: flush the open frame toward dst before an unbatchable
+  /// packet uses the same channel (bulk chunks, oversized payloads, urgent
+  /// control) so per-channel order holds across the batched/unbatched
+  /// boundary.
+  void batch_barrier(NodeId src, NodeId dst);
+  /// Flush every open frame held by src (busy->idle transition).
+  void flush_frames(NodeId src, FlushCause cause);
+  /// Flush src's frames whose holdoff deadline has expired.
+  void flush_due_frames(NodeId src, SimTime now);
+  /// Close fb (held by src toward dst), account the flush, and ship the
+  /// frame through send() (frames are never batch_eligible, so this cannot
+  /// recurse).
+  void emit_frame(WireAggregator& agg, FrameBuilder& fb, NodeId src,
+                  NodeId dst, FlushCause cause);
+
+  // LinkSink: the fault plane's physical copies, and every arrival's
+  // delivery (Machine::arrive). Frames decode here, on the receiving
+  // node's stream.
   void link_transmit(Packet p, SimTime extra_delay_ns) override;
   void link_deliver(Packet p) override;
 
@@ -218,6 +269,9 @@ class MnMachine final : public Machine, private LinkSink {
   // (NodeClient::service_deadline, e.g. the balancer's backed-off repoll).
   // An entry only bounds a worker's park; it never blocks quiescence.
   DeadlineTable service_timers_;
+  // One aggregator per node while batching is on; empty otherwise. Each is
+  // touched only from its node's execution stream.
+  std::vector<std::unique_ptr<WireAggregator>> wire_;
 
   static thread_local int tl_worker_;  // index into workers_, -1 off-pool
 

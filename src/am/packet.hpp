@@ -66,7 +66,7 @@ struct Packet {
   /// record count, the payload is the concatenated records. Frames pass
   /// through the link layer as single packets (sequenced, retransmitted and
   /// deduped whole) and are decoded back into per-message handler calls by
-  /// Machine::deliver_to_client on the receiving node's stream.
+  /// MnMachine::link_deliver on the receiving node's stream.
   bool frame = false;
   /// Latency-critical control traffic (e.g. the load balancer's steal
   /// request/deny round trip): never coalesced into a frame — a held deny

@@ -87,7 +87,7 @@ void SimMachine::link_transmit(Packet p, SimTime extra_delay_ns) {
 
 void SimMachine::link_deliver(Packet p) {
   const NodeId dst = p.dst;
-  deliver_to_client(dst, std::move(p));
+  client(dst).handle(std::move(p));
 }
 
 void SimMachine::schedule_link_timer(NodeId node) {
@@ -203,8 +203,8 @@ void SimMachine::run() {
         charge(n, costs().handler_entry_ns);
         idle_notified_[n] = false;
         // Arrival demux (Machine::arrive): faulty-wire packets dedupe/
-        // reorder/ack in the endpoint and reach the client via link_deliver,
-        // all within this handler slot; direct packets go straight through.
+        // reorder/ack in the endpoint, and every in-order data packet
+        // reaches the client via link_deliver, all within this handler slot.
         arrive(n, std::move(e.packet), *this);
         const SimTime stolen = handler_time_ - start;
         handler_tail_[n] = handler_time_;

@@ -7,7 +7,8 @@
 // Machine::charge(); packet arrival time = sender clock after injection
 // charges + wire latency. This is the stand-in for the paper's CM-5
 // (DESIGN.md §1): the runtime's protocols execute unmodified, and reported
-// "execution times" are simulated makespans.
+// "execution times" are simulated makespans. Like CMAM, it injects one
+// packet per send; wire batching is MnMachine's (RuntimeConfig::batching).
 //
 // Handler preemption: on the CM-5 an incoming active message interrupts the
 // running actor — "the node manager steals the processor from the actor
@@ -37,11 +38,6 @@ class SimMachine final : public Machine, private LinkSink {
   SimTime now(NodeId node) const override;
   void run() override;
   void configure_faults(const FaultConfig& cfg) override;
-  /// No-op: the simulator never batches, whatever the config says. CMAM
-  /// injects one packet per send (DESIGN.md §1), and the CM-5 cost model
-  /// charges exactly that; frames would amortize a cost the paper's machine
-  /// never saved. Wire batching is the wall-clock executor's lever.
-  void configure_batching(const BatchConfig& /*cfg*/) override {}
 
   /// Makespan: maximum virtual clock over all nodes. This is the number the
   /// benchmark tables report as "execution time".

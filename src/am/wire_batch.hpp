@@ -19,17 +19,21 @@
 // Frames travel as ordinary packets: LinkEndpoint sequences, retransmits
 // and dedupes whole frames, so the fault plane (PR 6) composes unchanged,
 // and the per-channel FIFO order of batched traffic is the frame order.
-// Mixing unbatchable traffic (bulk chunks, loopback, oversized payloads)
-// into a channel forces a barrier flush first, preserving send order.
+// Mixing unbatchable traffic (bulk chunks, oversized payloads, urgent
+// control) into a channel forces a barrier flush first, preserving send
+// order.
+//
+// This file holds the frame format and per-node state; the layer itself
+// (eligibility, flushes, decode) runs in MnMachine. SimMachine never
+// batches: it sends one packet per message, as CMAM did.
 //
 // Flush policy (docs/perf.md):
 //   fill    — the frame reached max_msgs records or max_frame_bytes
 //   timer   — the per-destination holdoff deadline expired (MnMachine
-//             polls deadlines once per node quantum; SimMachine never
-//             batches, so it has no holdoff timer)
+//             polls deadlines once per node quantum)
 //   idle    — the source node transitioned busy → idle (termination
 //             detection must never see a held frame)
-//   barrier — an unbatchable packet needed the channel, or shutdown drain
+//   barrier — an unbatchable packet needed the channel
 //
 // The policy is fixed (BatchConfig's constants; only `enabled` is set at
 // run time). The holdoff adapts per destination on timer flushes only: a
@@ -67,7 +71,7 @@ inline constexpr std::size_t kMinFrameBytes =
 
 /// The aggregation layer's policy. Only `enabled` is set at run time; it
 /// rides RuntimeConfig and is applied once, after clients attach and before
-/// run(), via Machine::configure_batching. The tuning values are fixed
+/// run(), via MnMachine::configure_batching. The tuning values are fixed
 /// constants (tuned on the CAF storm shapes, bench/caf_storms).
 struct BatchConfig {
   /// Master switch. Batching is on by default: coalescing is semantically
@@ -136,7 +140,7 @@ inline std::size_t frame_record_size(const Packet& p) noexcept {
 
 /// One open frame toward a single destination. The buffer is Owned while
 /// records accumulate and handed off whole by close(); the drop-on-drain
-/// path retires it instead (Machine::drain_wire).
+/// path retires it instead (MnMachine::drain_wire).
 class FrameBuilder {
   // Checked by hal-lint HL007: this protocol is *single-writer* — deadlines
   // and counts are plain fields whose safety comes from execution-stream

@@ -28,7 +28,7 @@ enum class Probe : std::uint32_t {
   kBroadcastRelay,    ///< broadcast injection -> MST relay handler entry
   kDispatchBatch,     ///< items drained per dispatcher busy period (items)
   kRedelivery,        ///< first send -> delivery of a retransmitted packet
-  kFrameFill,         ///< records per coalesced wire frame at close (msgs)
+  kFrameFill,         ///< records per coalesced wire frame, at decode (msgs)
   kCount,
 };
 

@@ -123,14 +123,15 @@ struct RuntimeConfig {
 
   /// Destination-coalesced wire batching (am/wire_batch.hpp): small remote
   /// sends pack into one bounded frame per (source, destination) channel,
-  /// amortizing per-message injection overhead on the hot path. On by
-  /// default on the wall-clock executor (kMn and its kThread preset);
-  /// single-node machines stay unbatched automatically, and SimMachine
-  /// ignores the switch and always sends one packet per message, as CMAM
-  /// does (DESIGN.md §1). Only the on/off switch is set here; frame size,
-  /// record cap and holdoff are the fixed BatchConfig constants. Delivery
-  /// semantics are unchanged — frames preserve per-channel FIFO order and
-  /// ride the reliable link whole under fault injection.
+  /// amortizing per-message injection overhead on the hot path. Applies to
+  /// MnMachine only (kMn and its kThread preset), where it is on by
+  /// default; single-node machines stay unbatched automatically. kSim
+  /// ignores the switch: SimMachine has no batching layer and always sends
+  /// one packet per message, as CMAM does (DESIGN.md §1). Only the on/off
+  /// switch is set here; frame size, record cap and holdoff are the fixed
+  /// BatchConfig constants. Delivery semantics are unchanged — frames
+  /// preserve per-channel FIFO order and ride the reliable link whole under
+  /// fault injection.
   am::BatchConfig batching;
 
   /// Validated construction: returns the first problem found, or nullopt for

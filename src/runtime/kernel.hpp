@@ -90,17 +90,16 @@ class Kernel final : public am::NodeClient {
   /// or duplicate payloads into) this node's pool, keeping the buffer
   /// ledger conservative under fault injection.
   BufferPool* link_pool() noexcept override { return &pool_; }
-  /// The wire-batching layer records its frame-fill samples here so they
-  /// surface in the RunReport beside the kernel's other probes.
-  obs::ProbeRecorder* wire_probes() noexcept override { return &probes_; }
   /// When an idle node wants on_idle re-run: the balancer's backed-off
   /// repoll deadline (NodeManager::poll_resume_at), 0 for "no wake needed".
   SimTime service_deadline() const override;
-  /// Frame-decode burst (Machine::deliver_to_client): cache the frame's
-  /// single arrival time so the per-record delivery path (remote-delivery
-  /// span, mailbox enqueue stamp) reuses it instead of re-reading the
-  /// machine clock per record.
-  void on_frame_begin(SimTime now, std::uint32_t /*count*/) override {
+  /// Frame-decode burst (MnMachine::link_deliver): record the frame's fill
+  /// (one sample per frame, on the receiving node) and cache its single
+  /// arrival time so the per-record delivery path (remote-delivery span,
+  /// mailbox enqueue stamp) reuses it instead of re-reading the machine
+  /// clock per record.
+  void on_frame_begin(SimTime now, std::uint32_t count) override {
+    probes_.record(obs::Probe::kFrameFill, count);
     frame_now_ = now;
   }
   void on_frame_end() override { frame_now_ = 0; }

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "am/machine_factory.hpp"
+#include "am/mn_machine.hpp"   // wire batching downcast (every kind but kSim)
 #include "am/sim_machine.hpp"  // report() makespan downcast (kSim only)
 
 namespace hal {
@@ -13,6 +14,9 @@ namespace hal {
 Runtime::Runtime(RuntimeConfig config) : config_(config) {
   if (auto err = config_.validate()) throw *err;
   machine_ = am::make_machine(config_);
+  if (config_.machine != MachineKind::kSim) {
+    mn_ = static_cast<am::MnMachine*>(machine_.get());
+  }
   kernels_.reserve(config_.nodes);
   for (NodeId n = 0; n < config_.nodes; ++n) {
     kernels_.push_back(
@@ -34,9 +38,10 @@ Runtime::Runtime(RuntimeConfig config) : config_(config) {
   if (faults.seed == 0) faults.seed = config_.seed;
   machine_->configure_faults(faults);
   // After the kernels attach for the same reason: each aggregator's frame
-  // buffers come from its node's payload pool. Single-node machines and
-  // SimMachine stay unbatched (configure_batching is inert there).
-  machine_->configure_batching(config_.batching);
+  // buffers come from its node's payload pool. Batching is MnMachine's;
+  // SimMachine sends one packet per message, and single-node machines stay
+  // unbatched.
+  if (mn_ != nullptr) mn_->configure_batching(config_.batching);
 }
 
 Runtime::~Runtime() {
@@ -50,7 +55,7 @@ DrainStats Runtime::shutdown_drain() {
   // Open frames first (their records were never delivered), then the link:
   // retransmit masters and out-of-order buffers retire into the pools before
   // the kernels' own drain accounting runs.
-  machine_->drain_wire();
+  if (mn_ != nullptr) mn_->drain_wire();
   machine_->drain_links();
   for (auto& k : kernels_) {
     // The drain releases buffers into each kernel's pool; run it "as" that
@@ -106,7 +111,8 @@ obs::RunReport Runtime::report() {
       node_stats.bump(Stat::kLinkAcksSent, ls->acks_sent);
     }
     // Likewise for the wire aggregators (batching layer).
-    if (const am::WireStats* ws = machine_->wire_stats(n)) {
+    if (const am::WireStats* ws = mn_ != nullptr ? mn_->wire_stats(n)
+                                                 : nullptr) {
       node_stats.bump(Stat::kWireFramesSent, ws->frames_sent);
       node_stats.bump(Stat::kWireMsgsCoalesced, ws->msgs_coalesced);
       node_stats.bump(Stat::kWireFlushFill, ws->flush_fill);
@@ -127,22 +133,19 @@ obs::RunReport Runtime::report() {
     r.buffers.adopted = ledger_.adopted();
     r.buffers.escaped = ledger_.escaped();
     std::uint64_t in_flight = 0;
+    const auto count_in_flight = [&](const Bytes& b) {
+      if (b.capacity() != 0 && ledger_.contains(b.data())) ++in_flight;
+    };
     for (const auto& k : kernels_) {
-      k->for_each_in_flight_payload([&](const Bytes& b) {
-        if (b.capacity() != 0 && ledger_.contains(b.data())) ++in_flight;
-      });
+      k->for_each_in_flight_payload(count_in_flight);
       r.buffers.double_retires += k->pool().check_double_retires();
       r.buffers.poison_hits += k->pool().check_poison_hits();
     }
     // Payloads parked inside the link layer (retransmit masters, buffered
     // out-of-order arrivals) are reachable, not leaked.
-    machine_->for_each_link_payload([&](const Bytes& b) {
-      if (b.capacity() != 0 && ledger_.contains(b.data())) ++in_flight;
-    });
+    machine_->for_each_link_payload(count_in_flight);
     // Frame buffers held open in the wire aggregators are reachable too.
-    machine_->for_each_wire_payload([&](const Bytes& b) {
-      if (b.capacity() != 0 && ledger_.contains(b.data())) ++in_flight;
-    });
+    if (mn_ != nullptr) mn_->for_each_wire_payload(count_in_flight);
     const std::uint64_t outstanding = ledger_.outstanding();
     r.buffers.in_flight = in_flight;
     r.buffers.leaked = outstanding > in_flight ? outstanding - in_flight : 0;

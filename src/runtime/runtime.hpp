@@ -28,6 +28,10 @@
 #include "runtime/kernel.hpp"
 #include "runtime/registry.hpp"
 
+namespace hal::am {
+class MnMachine;
+}  // namespace hal::am
+
 namespace hal {
 
 class Runtime {
@@ -177,6 +181,9 @@ class Runtime {
   /// recycle across nodes (sender acquires, receiver retires).
   check::BufferLedger ledger_;
   std::unique_ptr<am::Machine> machine_;
+  /// machine_ as the wall-clock executor (wire batching lives there);
+  /// nullptr on the simulator.
+  am::MnMachine* mn_ = nullptr;
   std::vector<std::unique_ptr<Kernel>> kernels_;
   FrontEnd front_end_;
   trace::TraceRecorder tracer_;

@@ -198,11 +198,15 @@ TEST(CholeskyShape, OwnerMappingPartitionsAllColumns) {
 
 // --- Systolic matmul -----------------------------------------------------------------
 
+// Padding spelled out for stable case names, as in FibCase.
 struct MatmulCase {
   std::size_t n;
   std::uint32_t grid;
   MachineKind machine;
+  std::uint8_t pad[3]{};
 };
+static_assert(sizeof(MatmulCase) == 16,
+              "MatmulCase must have no implicit padding");
 
 class MatmulCorrectness : public ::testing::TestWithParam<MatmulCase> {};
 
@@ -229,6 +233,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- PageRank (irregular sparse workload, paper §9's asked-for evaluation) ---
 
+// Padding spelled out for stable case names, as in FibCase.
 struct PrCase {
   std::uint32_t vertices;
   NodeId nodes;
@@ -236,7 +241,9 @@ struct PrCase {
   std::uint32_t rounds;
   std::uint32_t rebalance_after;
   MachineKind machine;
+  std::uint8_t pad[3]{};
 };
+static_assert(sizeof(PrCase) == 24, "PrCase must have no implicit padding");
 
 class PageRankCorrectness : public ::testing::TestWithParam<PrCase> {};
 

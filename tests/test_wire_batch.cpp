@@ -121,6 +121,13 @@ TEST(WireBatchFault, ThreadMachineBatchedMatchesUnbatchedResults) {
             ru.report.total.get(Stat::kMessagesDelivered));
   EXPECT_GT(rb.report.total.get(Stat::kWireFramesSent), 0u);
   EXPECT_EQ(ru.report.total.get(Stat::kWireFramesSent), 0u);
+  // The receiver samples each frame's fill once, at decode: one sample per
+  // frame sent, and the samples add up to the coalesced messages.
+  const obs::Log2Histogram& fill =
+      rb.report.probes.histogram(obs::Probe::kFrameFill);
+  EXPECT_EQ(fill.count(), rb.report.total.get(Stat::kWireFramesSent));
+  EXPECT_EQ(fill.sum(), rb.report.total.get(Stat::kWireMsgsCoalesced));
+  EXPECT_TRUE(ru.report.probes.histogram(obs::Probe::kFrameFill).empty());
 }
 
 // --- Machine-level: frames on the faulty wire -----------------------------------
@@ -170,13 +177,43 @@ TEST(WireBatchFault, ThreadMachineCoalescedFramesSurviveLoss) {
   expect_exactly_once_in_order(clients[1], kCount);
 }
 
+TEST(WireBatchFault, BarrierFlushKeepsChannelFifo) {
+  // Unbatchable packets (an oversized payload, an urgent control packet)
+  // bypass the frame, so each must first flush the channel's open frame or
+  // it would overtake the small sends queued before it. All sends happen
+  // before run(), so no timer or idle flush can close a frame early.
+  am::MnMachine machine(2, am::CostModel::cm5(), /*workers=*/1u);
+  RecordingClient clients[2];
+  machine.attach(0, &clients[0]);
+  machine.attach(1, &clients[1]);
+  machine.configure_batching(am::BatchConfig{});
+  std::uint64_t tag = 0;
+  const auto smalls = [&](int n) {
+    for (int i = 0; i < n; ++i) machine.send(tagged(0, 1, tag++));
+  };
+  smalls(4);
+  am::Packet big = tagged(0, 1, tag++);
+  big.payload.resize(600);
+  ASSERT_GT(big.payload.size(), am::kMaxInlinePayload);
+  machine.send(std::move(big));
+  smalls(3);
+  am::Packet urgent = tagged(0, 1, tag++);
+  urgent.urgent = true;
+  machine.send(std::move(urgent));
+  smalls(4);
+  machine.run();
+
+  expect_exactly_once_in_order(clients[1], tag);
+  EXPECT_EQ(machine.wire_stats(0)->flush_barrier, 2u);
+}
+
 // --- Forced flush at quiescence -------------------------------------------------
 
 /// Sends one eligible packet from its first step, then has no more work.
 /// Records how many frames its node had shipped when on_idle first ran.
 class OneShotClient : public RecordingClient {
  public:
-  OneShotClient(am::Machine& m, am::Packet p)
+  OneShotClient(am::MnMachine& m, am::Packet p)
       : m_(m), node_(p.src), p_(std::move(p)) {}
   bool step() override {
     if (sent_) return false;
@@ -194,7 +231,7 @@ class OneShotClient : public RecordingClient {
   std::int64_t frames_at_idle = -1;
 
  private:
-  am::Machine& m_;
+  am::MnMachine& m_;
   NodeId node_;
   am::Packet p_;
   bool sent_ = false;
